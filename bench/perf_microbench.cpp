@@ -346,9 +346,9 @@ BENCHMARK(BM_TierBatchDrain)->Arg(1)->Arg(8)->Arg(64);
 void BM_TimingWheelRto(benchmark::State& state) {
   // The retransmission-timer population the wheel exists for: thousands of
   // ~1 s RTO timers of which 90% are cancelled before firing (the reply
-  // arrived in time). Long delays park in the wheel instead of sifting
-  // through the arrival heap; cancelled entries die at bucket flush or in
-  // the compaction sweep without ever touching the heap.
+  // arrived in time). Long delays park in the wheel instead of the radix
+  // queue; cancelled entries die at bucket flush or in the compaction sweep
+  // without ever touching the queue.
   for (auto _ : state) {
     Simulator sim;
     int fired = 0;

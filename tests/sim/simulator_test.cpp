@@ -191,7 +191,7 @@ TEST(Simulator, CompactionSweepsCancelledHeapEntries) {
     if (i % 10 != 0) handles[static_cast<std::size_t>(i)].cancel();
   }
   // 900 of 1000 entries were cancelled; lazy compaction must have swept the
-  // heap once cancelled entries outnumbered live ones.
+  // queue once cancelled entries outnumbered live ones.
   EXPECT_EQ(sim.pending_events(), 100u);
   EXPECT_LT(sim.cancelled_pending(), 500u);
   sim.run_all();
@@ -213,7 +213,7 @@ TEST(Simulator, CompactionPreservesFiringOrder) {
   }
   sim.run_all();
   // Survivors are the odd i, scheduled at time 200 - i: they must fire in
-  // decreasing i (increasing time) despite the heap rebuild.
+  // decreasing i (increasing time) despite the compaction sweep.
   ASSERT_EQ(order.size(), 100u);
   for (std::size_t k = 0; k + 1 < order.size(); ++k) EXPECT_GT(order[k], order[k + 1]);
 }
@@ -328,7 +328,7 @@ TEST(SimulatorBulkCancel, SkipsFiredCancelledAndEmptyHandles) {
   handles.push_back(sim.schedule_at(msec(10), [&] { ++fired; }));  // cancelled twice
   handles.push_back(EventHandle{});                                // inert
   handles.push_back(sim.schedule_at(sec(std::int64_t{2}), [&] { ++fired; }));  // wheel
-  handles.push_back(sim.schedule_at(msec(20), [&] { ++fired; }));  // heap
+  handles.push_back(sim.schedule_at(msec(20), [&] { ++fired; }));  // queue
   sim.run_until(msec(1));
   handles[1].cancel();
   sim.cancel_bulk(handles.data(), handles.size());
