@@ -51,20 +51,40 @@ bool NTierSystem::submit(Request* req) {
   MEMCA_CHECK(req != nullptr);
   MEMCA_CHECK_MSG(req->demand_us.size() == tiers_.size(),
                   "request needs one demand entry per tier");
-  ++submitted_;
-  if (!tiers_.front()->try_submit(req)) {
-    ++dropped_;
-    trace::emit(trace_, trace::TraceEvent{sim_.now(), req->id, 0, 0.0, req->user, 0,
-                                          trace::EventKind::kDrop,
-                                          static_cast<std::uint8_t>(req->attempt())});
+  if (!accepting()) {
+    reject(req->id, req->user, req->attempt());
     if (on_drop_) on_drop_(*req);
     // Released only after the callback: a reentrant submit from inside
     // on_drop_ must not recycle this request out from under the caller.
     pool_.release(req);
     return false;
   }
+  ++submitted_;
+  const bool admitted = tiers_.front()->try_submit(req);
+  MEMCA_DCHECK(admitted);
+  (void)admitted;
   ++in_flight_;
   return true;
+}
+
+void NTierSystem::reject(Request::Id id, std::int32_t user, int attempt) {
+  count_refused(1);
+  trace::emit(trace_, trace::TraceEvent{sim_.now(), id, 0, 0.0, user, 0,
+                                        trace::EventKind::kDrop,
+                                        static_cast<std::uint8_t>(attempt)});
+}
+
+void NTierSystem::count_rejected(std::int64_t n) {
+#ifndef MEMCA_TRACE_DISABLED
+  MEMCA_CHECK_MSG(trace_ == nullptr, "a traced system records each rejection: use reject()");
+#endif
+  count_refused(n);
+}
+
+void NTierSystem::count_refused(std::int64_t n) {
+  submitted_ += n;
+  dropped_ += n;
+  tiers_.front()->refuse(n);
 }
 
 TierServer& NTierSystem::tier(std::size_t i) {

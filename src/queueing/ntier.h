@@ -33,12 +33,18 @@ class NTierSystem : public RequestSystem {
   NTierSystem(Simulator& sim, std::vector<TierConfig> tiers, const TierFactory& factory);
 
   /// Submits a pool-owned request. Resets its per-tier stamp lane (demand_us
-  /// must already have one entry per tier). Returns false if dropped; the
-  /// request is released back to the pool after the drop callback.
+  /// must already have one entry per tier). Returns false if dropped: the
+  /// request is rejected (see reject()), then released back to the pool
+  /// after the drop callback.
   bool submit(Request* req) override;
 
   /// A submit admits iff the front tier has a free thread.
-  bool accepting() const override { return !tiers_.front()->full(); }
+  bool accepting() const final { return !tiers_.front()->full(); }
+
+  void reject(Request::Id id, std::int32_t user, int attempt) final;
+  /// Checks that no recorder is attached: a traced system must see each
+  /// rejection through reject(), or its kDrop events would be lost.
+  void count_rejected(std::int64_t n) final;
 
   std::size_t num_tiers() const { return tiers_.size(); }
   std::size_t depth() const override { return tiers_.size(); }
@@ -78,9 +84,11 @@ class NTierSystem : public RequestSystem {
   /// Quantized mode: delivers one completion group's replies (front tier's
   /// batch reply sink) through on_complete_batch_ when set, else per request.
   void on_reply_batch(Request* const* reqs, std::size_t n);
+  /// Adds `n` refusals to submitted, dropped and the front tier's
+  /// offered/rejected counters: the counting half of a rejection.
+  void count_refused(std::int64_t n);
 
   Simulator& sim_;
-  trace::TraceRecorder* trace_ = nullptr;
   std::vector<std::unique_ptr<TierServer>> tiers_;
 };
 

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "common/check.h"
 #include "common/inline_callback.h"
 #include "queueing/request.h"
 #include "queueing/request_pool.h"
@@ -46,11 +47,33 @@ class RequestSystem {
   virtual bool submit(Request* req) = 0;
 
   /// Whether a submit() issued right now would be admitted (entry-point
-  /// capacity only). Lets a generator skip work that is wasted on a
-  /// rejection — e.g. demand sampling during an overload storm, where
-  /// rejected attempts outnumber admissions a thousandfold. Nothing changes
-  /// between this check and a synchronous submit, so the answer is exact.
+  /// capacity only). The answer is exact: nothing runs between this check
+  /// and a synchronous submit, and a refusal frees nothing, so it holds for
+  /// every further attempt made in the same callback. A generator that sees
+  /// false reports the attempt through reject() instead of building a
+  /// Request just to have it dropped — during an overload storm refused
+  /// attempts outnumber admissions a thousandfold. Systems whose entry
+  /// point never refuses up front keep the default, and never see reject().
   virtual bool accepting() const { return true; }
+
+  /// Refuses one attempt at the entry point while it is not accepting(),
+  /// without a Request — the one definition of a rejection, which submit()'s
+  /// drop branch uses too. Counts it as count_rejected(1) would and, with a
+  /// recorder attached, emits its kDrop event; `id`, `user` and `attempt`
+  /// are what its Request would have carried. The drop callback is not
+  /// invoked: the caller handles the drop itself.
+  virtual void reject(Request::Id /*id*/, std::int32_t /*user*/, int /*attempt*/) {
+    MEMCA_CHECK_MSG(false, "this system's entry point never refuses up front");
+  }
+
+  /// Counts `n` refused attempts: adds them to submitted() and dropped() and
+  /// to the entry tier's offered/rejected counters, and records no trace
+  /// event. For refusing attempts in bulk; while trace() is set, a caller
+  /// must reject() them one by one instead, so every kDrop is recorded, and
+  /// the call fails its check.
+  virtual void count_rejected(std::int64_t /*n*/) {
+    MEMCA_CHECK_MSG(false, "this system's entry point never refuses up front");
+  }
 
   /// Completion callback: fires when a reply reaches the client side. The
   /// referenced request dies when the callback returns.
@@ -76,6 +99,8 @@ class RequestSystem {
   /// Attaches a span-event recorder to every tier/station of the system
   /// (nullptr detaches). The system does not own the recorder.
   virtual void set_trace(trace::TraceRecorder* recorder) = 0;
+  /// The attached recorder, or nullptr.
+  trace::TraceRecorder* trace() const { return trace_; }
 
   /// Checkpoint of the state shared by both system models: the request pool
   /// and the lifetime counters. The completion/drop callbacks are wiring,
@@ -109,6 +134,7 @@ class RequestSystem {
   RequestFn on_complete_;
   BatchRequestFn on_complete_batch_;
   RequestFn on_drop_;
+  trace::TraceRecorder* trace_ = nullptr;
   std::int64_t submitted_ = 0;
   std::int64_t completed_ = 0;
   std::int64_t dropped_ = 0;

@@ -107,7 +107,6 @@ class TandemQueueSystem : public RequestSystem {
   }
 
   Simulator& sim_;
-  trace::TraceRecorder* trace_ = nullptr;
   std::vector<Station> stations_;
 
  public:

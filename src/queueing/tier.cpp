@@ -77,12 +77,11 @@ void TierServer::set_batch_reply_sink(InlineFunction<void(Request* const*, std::
 
 bool TierServer::try_submit(Request* req) {
   MEMCA_CHECK(req != nullptr);
-  ++pending_offered_;
   if (full()) {
-    ++pending_rejected_;
-    maybe_flush();
+    refuse(1);
     return false;
   }
+  ++pending_offered_;
   // Stage the per-tier demands into the stamp lane (so the admit/pump fast
   // paths never chase the Request body) only once the request is in: a
   // rejected attempt's stamps are never read, and during an overload storm
@@ -94,12 +93,11 @@ bool TierServer::try_submit(Request* req) {
 }
 
 bool TierServer::accept_from_upstream(std::uint32_t slot) {
-  ++pending_offered_;
   if (full()) {
-    ++pending_rejected_;
-    maybe_flush();
+    refuse(1);
     return false;
   }
+  ++pending_offered_;
   admit(slot);
   maybe_flush();
   return true;

@@ -253,6 +253,17 @@ class TierServer {
     if (!sim_.batch_continues()) flush_pending();
   }
 
+  /// Counts `n` offers refused for lack of a free thread (full() must hold):
+  /// the rejection half of try_submit, also used by the owning system to
+  /// refuse attempts that never became Requests. Settles like every other
+  /// counter entry point (see maybe_flush).
+  void refuse(std::int64_t n) {
+    MEMCA_DCHECK(full());
+    pending_offered_ += n;
+    pending_rejected_ += n;
+    maybe_flush();
+  }
+
   /// Appends this tier's consolidated kTierSpan event (queue enter +
   /// service start + service end in one record) iff a recorder is attached.
   /// Called at local-service end, when all three times are known.

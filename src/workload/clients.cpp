@@ -197,36 +197,88 @@ void ClosedLoopClients::send_cohort_burst(int page, std::int32_t count) {
 }
 
 void ClosedLoopClients::fire_rto_group(std::uint32_t group) {
-  const int next_attempt = rto_.attempt(group) + 1;
-  rto_.drain(group, [this, next_attempt](std::int32_t page, SimTime first_sent,
-                                         std::uint32_t user) {
-    send_request(static_cast<int>(user), page, first_sent, next_attempt);
-  });
+  const int attempt = rto_.attempt(group) + 1;
+  const queueing::RequestSystem& system = router_.system();
+  const bool emptied = rto_.drain_while(
+      group, [&](std::int32_t page, SimTime first_sent, std::uint32_t user) {
+        if (!system.accepting()) return false;
+        submit_request(static_cast<int>(user), page, first_sent, attempt);
+        return true;
+      });
+  if (!emptied) refuse_rest(group, attempt);
+}
+
+void ClosedLoopClients::refuse_rest(std::uint32_t group, int attempt) {
+  // A refusal frees no thread and nothing else runs before this callback
+  // returns, so every entry left in the group is refused too. One walk
+  // settles them; counters and metrics are added once at the end. Per
+  // entry, only quantum 0 draws (the demands send_request would draw) and
+  // only a recorder needs the attempt's id and events, in per-attempt order.
+  const bool traced = tracing();
+  std::int64_t n = 0;
+  auto refuse = [&](std::int32_t page, std::uint32_t user, trace::EventKind kind, SimTime aux) {
+    if (!lazy_demands_) profile_.sample_demands_into(page, rng_, demand_scratch_);
+    if (traced) {
+      const auto u = static_cast<std::int32_t>(user);
+      mark(kind, router_.reject(source_, u, attempt), u, attempt, aux);
+    }
+    ++n;
+  };
+  if (attempt >= config_.max_retries) {
+    rto_.drain(group, [&](std::int32_t page, SimTime first_sent, std::uint32_t user) {
+      refuse(page, user, trace::EventKind::kAbandon, first_sent);
+      slots_.release(user);
+      ++idle_by_page_[static_cast<std::size_t>(page)];
+    });
+    failed_ += n;
+    metrics_.failed.inc(n);
+  } else {
+    const SimTime rto = config_.min_rto * (SimTime{1} << attempt);
+    const RtoLedger::Parked parked = rto_.repark(
+        group, attempt, sim_.now() + rto, [&](std::int32_t page, SimTime, std::uint32_t user) {
+          refuse(page, user, trace::EventKind::kRetransmit, rto);
+        });
+    metrics_.retransmitted.inc(n);
+    if (parked.opened) {
+      sim_.schedule_in(rto, [this, group = parked.group] { fire_rto_group(group); });
+    }
+  }
+  if (!traced) router_.count_rejected(n);
+  metrics_.submitted.inc(n);
+  dropped_attempts_ += n;
+  metrics_.dropped.inc(n);
 }
 
 void ClosedLoopClients::send_request(int user, int page, SimTime first_sent, int attempt) {
   if (config_.mode == ClientMode::kExact) {
     user_busy_[static_cast<std::size_t>(user)] = 1;
   }
+  if (router_.system().accepting()) {
+    submit_request(user, page, first_sent, attempt);
+    return;
+  }
+  // The entry tier refuses this attempt, so it never becomes a Request: the
+  // router takes its id and counts the rejection. Quantum 0 still draws the
+  // demands it would have carried, keeping the byte-stable RNG stream.
+  // Quantized mode skips the draws — during an overload storm refusals
+  // outnumber admissions a thousandfold — which forks its RNG stream from
+  // the exact one; quantized mode is a distinct event stream with its own
+  // goldens, validated statistically against exact.
+  metrics_.submitted.inc();
+  if (!lazy_demands_) profile_.sample_demands_into(page, rng_, demand_scratch_);
+  const auto id = router_.reject(source_, user, attempt);
+  on_refused(id, user, page, first_sent, attempt);
+}
+
+void ClosedLoopClients::submit_request(int user, int page, SimTime first_sent, int attempt) {
+  metrics_.submitted.inc();
   auto req = router_.make_request(source_);
   req->user = user;
   req->page_class = page;
   req->set_attempt(attempt);
   req->set_first_sent(first_sent);
   req->set_sent(sim_.now());
-  if (!lazy_demands_ || router_.system().accepting()) {
-    profile_.sample_demands_into(page, rng_, req->demand_us);
-  } else {
-    // Quantized mode, entry tier full: this attempt drops synchronously in
-    // submit() and its demands are never staged (try_submit stages on
-    // admission only), so the three RNG draws would be pure waste — and
-    // during an overload storm the drops outnumber admissions a
-    // thousandfold. Skipping them forks the quantized RNG stream from the
-    // exact one, which is fine: quantized mode is a distinct event stream
-    // with its own goldens, validated statistically against exact.
-    req->demand_us.resize(profile_.num_tiers());
-  }
-  metrics_.submitted.inc();
+  profile_.sample_demands_into(page, rng_, req->demand_us);
   router_.submit(req);
 }
 
@@ -287,41 +339,42 @@ void ClosedLoopClients::on_complete_batch(queueing::Request* const* reqs, std::s
 }
 
 void ClosedLoopClients::on_drop(const queueing::Request& req) {
+  on_refused(req.id, req.user, req.page_class, req.first_sent(), req.attempt());
+}
+
+void ClosedLoopClients::on_refused(queueing::Request::Id id, int user, int page,
+                                   SimTime first_sent, int attempt) {
   ++dropped_attempts_;
   metrics_.dropped.inc();
-  if (req.attempt() >= config_.max_retries) {
+  if (attempt >= config_.max_retries) {
     // Abandon: the user gives up on this page and thinks again.
     ++failed_;
     metrics_.failed.inc();
-    mark(trace::EventKind::kAbandon, req, req.first_sent());
+    mark(trace::EventKind::kAbandon, id, user, attempt, first_sent);
     if (config_.mode == ClientMode::kCohort) {
-      slots_.release(static_cast<std::uint32_t>(req.user));
-      ++idle_by_page_[static_cast<std::size_t>(req.page_class)];
+      slots_.release(static_cast<std::uint32_t>(user));
+      ++idle_by_page_[static_cast<std::size_t>(page)];
       return;
     }
-    user_busy_[static_cast<std::size_t>(req.user)] = 0;
-    schedule_think(req.user);
+    user_busy_[static_cast<std::size_t>(user)] = 0;
+    schedule_think(user);
     return;
   }
   // RFC 6298: RTO floor of 1 s, exponential backoff per retry.
-  const SimTime rto = config_.min_rto * (SimTime{1} << req.attempt());
+  const SimTime rto = config_.min_rto * (SimTime{1} << attempt);
   metrics_.retransmitted.inc();
-  mark(trace::EventKind::kRetransmit, req, rto);
+  mark(trace::EventKind::kRetransmit, id, user, attempt, rto);
   if (config_.mode == ClientMode::kCohort) {
     // Same-instant drops at the same attempt share one (deadline, attempt)
     // ledger group and therefore one timer; the fire drains them together.
-    const RtoLedger::Parked parked =
-        rto_.park(req.attempt(), sim_.now() + rto, req.page_class, req.first_sent(),
-                  static_cast<std::uint32_t>(req.user));
+    const RtoLedger::Parked parked = rto_.park(attempt, sim_.now() + rto, page, first_sent,
+                                               static_cast<std::uint32_t>(user));
     if (parked.opened) {
       sim_.schedule_in(rto, [this, group = parked.group] { fire_rto_group(group); });
     }
     return;
   }
-  const int user = req.user;
-  const int page = req.page_class;
-  const SimTime first_sent = req.first_sent();
-  const int next_attempt = req.attempt() + 1;
+  const int next_attempt = attempt + 1;
   ++rto_backlog_;
   sim_.schedule_in(rto, [this, user, page, first_sent, next_attempt] {
     --rto_backlog_;

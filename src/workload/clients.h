@@ -5,10 +5,25 @@
 // distributed think time (mean 7 s) between consecutive requests.
 //
 // TCP behaviour on a front-tier drop follows RFC 6298's floor: the client
-// retransmits after max(1 s, backoff), doubling per retry. The *client-
-// observed* response time spans the first transmission to the final
-// completion — this is the 1 s+ tail the paper's Fig. 2/9d measures, and
-// the reason finite front-tier queues amplify the tail so dramatically.
+// retransmits after max(1 s, backoff), doubling per retry, and abandons the
+// page after max_retries. The *client-observed* response time spans the
+// first transmission to the final completion — this is the 1 s+ tail the
+// paper's Fig. 2/9d measures, and the reason finite front-tier queues
+// amplify the tail so dramatically.
+//
+// A refused attempt never becomes a Request. Before building one, the
+// client asks the system whether its entry tier is accepting(); if not, the
+// router takes the attempt's id and the system counts and traces the
+// rejection (RequestSystem::reject), and the client handles the drop
+// itself. The answer is exact and stays false for the rest of the current
+// callback (a refusal frees no thread), so when an RTO group fires into a
+// full tier, everything after the first refused entry is settled in one
+// walk of the ledger chain: re-parked into the next attempt's group
+// (RtoLedger::repark) or, at max_retries, abandoned — with counters added
+// once and, only when a recorder is attached, each attempt's kDrop and
+// kRetransmit/kAbandon events recorded in per-attempt order. Counters, RNG
+// draws, request ids and trace events match refusing the attempts one at a
+// time.
 //
 // Two scheduling models share this implementation (ClientConfig::mode):
 //
@@ -30,7 +45,9 @@
 //    Simulator::batch_continues whenever the per-slot arrival count exceeds
 //    one (every slot, at population scale). Individual identity (a compact
 //    slot id) exists only while a request or RTO is in flight; RFC 6298
-//    timers aggregate per (deadline, attempt) group in an RtoLedger.
+//    timers aggregate per (deadline, attempt) group in an RtoLedger, and a
+//    group fire sends its entries while the front tier admits and re-parks
+//    or abandons the rest in bulk (see above).
 //    Statistically the cohort model quantizes the *start* of each think
 //    period to the tick grid (adding ~tick/2 to the effective think time,
 //    0.4% at the defaults); arrival instants themselves are not bunched —
@@ -194,7 +211,12 @@ class ClosedLoopClients {
 
  private:
   void schedule_think(int user);
+  /// Sends one attempt: submit_request while the system is accepting(),
+  /// else refuses it without a Request (see the file comment).
   void send_request(int user, int page, SimTime first_sent, int attempt);
+  /// Builds and submits the attempt's Request; the system must be
+  /// accepting().
+  void submit_request(int user, int page, SimTime first_sent, int attempt);
   void on_complete(const queueing::Request& req);
   /// Quantized mode: one completion group of this population's requests.
   /// Statistics per member, then the scheduling tail (cohort slot release +
@@ -204,28 +226,56 @@ class ClosedLoopClients {
   /// observer) — everything except the mode-specific scheduling tail.
   /// Returns the client-observed response time.
   SimTime record_completion(const queueing::Request& req);
+  /// Drop callback for a submitted Request. The population's own attempts
+  /// only reach it from systems that never refuse up front (accepting()
+  /// always true); otherwise send_request refuses them itself.
   void on_drop(const queueing::Request& req);
+  /// A refused attempt: retransmit after the RFC 6298 RTO (cohort mode parks
+  /// it in the RTO ledger), or abandon it at max_retries.
+  void on_refused(queueing::Request::Id id, int user, int page, SimTime first_sent,
+                  int attempt);
   /// One cohort think tick: binomial wake-ups per page, multinomial page
   /// transitions, one batch-tagged send event per target page.
   void on_cohort_tick();
   /// Sends `count` fresh requests on `page`, one slot id each.
   void send_cohort_burst(int page, std::int32_t count);
-  /// Re-sends every retransmission parked in RTO ledger group `group`.
+  /// Re-sends the retransmissions parked in RTO ledger group `group` while
+  /// the entry tier accepts, then hands the rest to refuse_rest.
   void fire_rto_group(std::uint32_t group);
+  /// Refuses every entry still parked in `group` as attempt `attempt`, in
+  /// one walk: re-parks them (RtoLedger::repark) or abandons them at
+  /// max_retries, with counters and metrics added once.
+  void refuse_rest(std::uint32_t group, int attempt);
+
+  /// Whether refused attempts must be reported one by one because a
+  /// recorder — this population's or the system's — records their events.
+  bool tracing() const {
+#ifndef MEMCA_TRACE_DISABLED
+    return trace_ != nullptr || router_.system().trace() != nullptr;
+#else
+    return false;
+#endif
+  }
 
   /// Appends a client lifecycle event iff a recorder is attached.
   /// aux = first_sent for send/complete/abandon, the scheduled RTO for
-  /// retransmit.
-  void mark(trace::EventKind kind, const queueing::Request& req, SimTime aux) {
+  /// retransmit. `id`, `user` and `attempt` identify the attempt.
+  void mark(trace::EventKind kind, queueing::Request::Id id, std::int32_t user, int attempt,
+            SimTime aux) {
 #ifndef MEMCA_TRACE_DISABLED
     if (trace_ == nullptr) return;
-    trace_->record(trace::TraceEvent{sim_.now(), req.id, aux, 0.0, req.user, -1, kind,
-                                     static_cast<std::uint8_t>(req.attempt())});
+    trace_->record(trace::TraceEvent{sim_.now(), id, aux, 0.0, user, -1, kind,
+                                     static_cast<std::uint8_t>(attempt)});
 #else
     (void)kind;
-    (void)req;
+    (void)id;
+    (void)user;
+    (void)attempt;
     (void)aux;
 #endif
+  }
+  void mark(trace::EventKind kind, const queueing::Request& req, SimTime aux) {
+    mark(kind, req.id, req.user, req.attempt(), aux);
   }
 
   Simulator& sim_;
@@ -235,10 +285,14 @@ class ClosedLoopClients {
   ClientConfig config_;
   Rng rng_;
   int source_ = -1;
-  // Quantized mode only: skip demand sampling when the system would reject
-  // the submit anyway (see send_request). Derived from the target system's
-  // service grid at construction — wiring, not state, so not checkpointed.
+  // Quantized mode only: refused attempts draw no demands (see
+  // send_request). Derived from the target system's service grid at
+  // construction — wiring, not state, so not checkpointed.
   bool lazy_demands_ = false;
+  // Quantum 0: where a refused attempt's demands are drawn to (and
+  // discarded), so the RNG stream matches an admitted attempt's. Carries
+  // nothing between attempts.
+  std::vector<double> demand_scratch_;
   trace::TraceRecorder* trace_ = nullptr;
   ClientMetrics metrics_;
   std::function<void(const CompletionEvent&)> completion_observer_;

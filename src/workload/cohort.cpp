@@ -31,8 +31,7 @@ std::uint32_t RtoLedger::alloc_group() {
   return g;
 }
 
-RtoLedger::Parked RtoLedger::park(int attempt, SimTime deadline, std::int32_t page,
-                                  SimTime first_sent, std::uint32_t user) {
+RtoLedger::Parked RtoLedger::open_group_for(int attempt, SimTime deadline) {
   MEMCA_DCHECK(attempt >= 0);
   const auto a = static_cast<std::size_t>(attempt);
   if (a >= open_group_.size()) open_group_.resize(a + 1, kNone);
@@ -50,7 +49,13 @@ RtoLedger::Parked RtoLedger::park(int attempt, SimTime deadline, std::int32_t pa
     parked.opened = true;
   }
   parked.group = g;
+  return parked;
+}
 
+RtoLedger::Parked RtoLedger::park(int attempt, SimTime deadline, std::int32_t page,
+                                  SimTime first_sent, std::uint32_t user) {
+  const Parked parked = open_group_for(attempt, deadline);
+  const std::uint32_t g = parked.group;
   const std::uint32_t e = alloc_entry();
   entry_page_[e] = page;
   entry_first_sent_[e] = first_sent;

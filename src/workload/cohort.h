@@ -13,7 +13,12 @@
 //  * RtoLedger aggregates RFC 6298 retransmission timers: drops that share a
 //    (deadline, attempt) — e.g. every member of one same-instant arrival
 //    batch bounced off a full front queue — park in one group behind a
-//    single simulator timer instead of one timer each.
+//    single simulator timer instead of one timer each. When the timer
+//    fires, drain_while() hands entries out until the front tier refuses
+//    one; repark() then moves the rest of the chain into the next attempt's
+//    group in one relinking walk (no entry is freed or copied), leaving the
+//    ledger exactly as re-parking them one by one would, and drain() walks
+//    it instead when the retries are exhausted.
 //
 // Both are grow-only POD lanes, so memca_snapshot capture/restore extends
 // naturally: capture copies lanes aside (reusing snapshot capacity), restore
@@ -114,27 +119,64 @@ class RtoLedger {
 
   /// Pops every entry of `group` (newest first — LIFO chain order, which is
   /// deterministic), invoking fn(page, first_sent, user), then frees the
-  /// group. Called from the group's single fire timer.
+  /// group.
   template <typename F>
   void drain(std::uint32_t group, F&& fn) {
+    drain_while(group, [&fn](std::int32_t page, SimTime first_sent, std::uint32_t user) {
+      fn(page, first_sent, user);
+      return true;
+    });
+  }
+
+  /// As drain(), but stops at the first entry for which fn(page,
+  /// first_sent, user) returns false. That entry and the rest of the chain
+  /// stay in `group`, which is no longer joinable and whose timer has
+  /// fired; the caller must hand them to repark() or drain() before its
+  /// callback returns. Returns true iff the group was emptied and freed.
+  template <typename F>
+  bool drain_while(std::uint32_t group, F&& fn) {
     MEMCA_DCHECK(group_attempt_[group] >= 0);
-    const int att = static_cast<int>(group_attempt_[group]);
-    if (att < static_cast<int>(open_group_.size()) &&
-        open_group_[static_cast<std::size_t>(att)] == group) {
-      open_group_[static_cast<std::size_t>(att)] = kNone;
-    }
+    const auto att = static_cast<std::size_t>(group_attempt_[group]);
+    if (att < open_group_.size() && open_group_[att] == group) open_group_[att] = kNone;
     std::uint32_t e = group_head_[group];
     while (e != kNone) {
+      if (!fn(entry_page_[e], entry_first_sent_[e], entry_user_[e])) {
+        group_head_[group] = e;
+        return false;
+      }
       const std::uint32_t next = entry_next_[e];
       --backlog_;
-      fn(entry_page_[e], entry_first_sent_[e], entry_user_[e]);
       entry_next_[e] = entry_free_;
       entry_free_ = e;
       e = next;
     }
-    group_attempt_[group] = -1;
-    group_head_[group] = group_free_;
-    group_free_ = group;
+    free_group(group);
+    return true;
+  }
+
+  /// Moves the entries drain_while() left in `group` into the group for
+  /// (`attempt`, `deadline`) and frees `group`, leaving the ledger as
+  /// parking each entry in drain order would: the open group for `attempt`
+  /// is joined when its deadline matches (a new one opens otherwise) and
+  /// each entry goes to the head of its chain, so the moved run ends up
+  /// reversed. One walk that relinks entry_next_ only; fn(page, first_sent,
+  /// user) sees each entry in drain order. backlog() does not change.
+  template <typename F>
+  Parked repark(std::uint32_t group, int attempt, SimTime deadline, F&& fn) {
+    const Parked parked = open_group_for(attempt, deadline);
+    MEMCA_DCHECK(parked.group != group);
+    std::uint32_t head = group_head_[parked.group];
+    std::uint32_t e = group_head_[group];
+    while (e != kNone) {
+      const std::uint32_t next = entry_next_[e];
+      fn(entry_page_[e], entry_first_sent_[e], entry_user_[e]);
+      entry_next_[e] = head;
+      head = e;
+      e = next;
+    }
+    group_head_[parked.group] = head;
+    free_group(group);
+    return parked;
   }
 
   /// Timers armed but not yet fired (parked retransmissions).
@@ -163,6 +205,13 @@ class RtoLedger {
  private:
   std::uint32_t alloc_entry();
   std::uint32_t alloc_group();
+  /// The joinable group for (attempt, deadline), opened if needed.
+  Parked open_group_for(int attempt, SimTime deadline);
+  void free_group(std::uint32_t group) {
+    group_attempt_[group] = -1;
+    group_head_[group] = group_free_;
+    group_free_ = group;
+  }
 
   // Entry lanes; entry_next_ doubles as the free chain.
   std::vector<std::int32_t> entry_page_;

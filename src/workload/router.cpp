@@ -64,13 +64,29 @@ void RequestRouter::set_batch_complete(int source, BatchCompleteFn fn) {
   sources_[static_cast<std::size_t>(source)].on_complete_batch = std::move(fn);
 }
 
-queueing::Request* RequestRouter::make_request(int source) {
+queueing::Request::Id RequestRouter::allocate_id(int source) {
   MEMCA_CHECK(source >= 0 && source < static_cast<int>(sources_.size()));
+  return (next_id_++ << kSourceBits) | static_cast<queueing::Request::Id>(source);
+}
+
+queueing::Request* RequestRouter::make_request(int source) {
+  const queueing::Request::Id id = allocate_id(source);
   queueing::Request* req = system_.acquire();
-  req->id = (next_id_++ << kSourceBits) | static_cast<queueing::Request::Id>(source);
+  req->id = id;
   return req;
 }
 
 bool RequestRouter::submit(queueing::Request* req) { return system_.submit(req); }
+
+queueing::Request::Id RequestRouter::reject(int source, std::int32_t user, int attempt) {
+  const queueing::Request::Id id = allocate_id(source);
+  system_.reject(id, user, attempt);
+  return id;
+}
+
+void RequestRouter::count_rejected(std::int64_t n) {
+  next_id_ += n;
+  system_.count_rejected(n);
+}
 
 }  // namespace memca::workload

@@ -51,6 +51,17 @@ class RequestRouter {
   /// not be used afterwards.
   bool submit(queueing::Request* req);
 
+  /// Refuses one attempt of `source` while the system is not accepting(),
+  /// without a Request: takes the id that make_request would have stamped
+  /// (so later ids do not change) and reports the attempt through
+  /// RequestSystem::reject. Returns that id. The source's drop callback is
+  /// not invoked; the caller handles the drop itself.
+  queueing::Request::Id reject(int source, std::int32_t user, int attempt);
+
+  /// Refuses `n` attempts at once, untraced (RequestSystem::count_rejected):
+  /// the id serial advances by `n`, as `n` reject() calls would advance it.
+  void count_rejected(std::int64_t n);
+
   queueing::RequestSystem& system() { return system_; }
   std::size_t depth() const { return system_.depth(); }
 
@@ -85,6 +96,9 @@ class RequestRouter {
     DropFn on_drop;
     BatchCompleteFn on_complete_batch;
   };
+
+  /// Stamps the next serial with `source` (see the id layout in router.cpp).
+  queueing::Request::Id allocate_id(int source);
 
   queueing::RequestSystem& system_;
   std::vector<Source> sources_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "trace/recorder.h"
 
 namespace memca::queueing {
 namespace {
@@ -60,6 +61,28 @@ TEST(NTierSystem, DropsOnlyAtFrontTier) {
   EXPECT_EQ(f.system.dropped(), 1);
   // Downstream tiers never rejected an external submission.
   EXPECT_EQ(f.system.tier(0).rejected(), 1);
+}
+
+TEST(NTierSystem, BulkRejectionCountsAsPerAttemptRejections) {
+  // count_rejected(n) counts what n reject() calls would, fires no drop
+  // callback, and refuses to run while a recorder is attached: only
+  // reject() records the kDrop events a recorder expects.
+  Fixture f;
+  for (int i = 0; i < 10; ++i) f.submit(i, {10.0, 10.0, 1000000.0});
+  f.sim.run_until(msec(1));
+  ASSERT_FALSE(f.system.accepting());
+  f.system.reject(100, 0, 0);
+  f.system.count_rejected(3);
+  EXPECT_EQ(f.system.submitted(), 14);
+  EXPECT_EQ(f.system.dropped(), 4);
+  EXPECT_EQ(f.system.tier(0).offered(), 14);
+  EXPECT_EQ(f.system.tier(0).rejected(), 4);
+  EXPECT_TRUE(f.dropped.empty());
+#ifndef MEMCA_TRACE_DISABLED
+  trace::TraceRecorder recorder;
+  f.system.set_trace(&recorder);
+  EXPECT_DEATH(f.system.count_rejected(1), "use reject");
+#endif
 }
 
 TEST(NTierSystem, CrossTierOccupancyRespectsThreadLimits) {

@@ -112,6 +112,106 @@ TEST(CohortParts, RtoLedgerSnapshotRoundTrip) {
   EXPECT_EQ(ledger.backlog(), 0);
 }
 
+std::vector<std::uint32_t> drain_users(RtoLedger& ledger, std::uint32_t group) {
+  std::vector<std::uint32_t> users;
+  ledger.drain(group, [&](std::int32_t, SimTime, std::uint32_t user) { users.push_back(user); });
+  return users;
+}
+
+TEST(CohortParts, RtoLedgerReparkMatchesPerEntryDrainAndPark) {
+  // Re-parking the tail of a fired group in one call must leave the ledger
+  // exactly as popping each entry and parking it again would — every lane,
+  // both free chains and the open-group table — whether the move opens the
+  // target group or joins one already open.
+  for (const bool target_open : {false, true}) {
+    SCOPED_TRACE(target_open ? "joins an open group" : "opens a group");
+    auto build = [target_open] {
+      RtoLedger ledger;
+      for (std::uint32_t u = 0; u < 6; ++u) {
+        ledger.park(0, 1000, static_cast<std::int32_t>(u), 10 * u, 100 + u);
+      }
+      // A drained group leaves non-trivial entry and group free chains.
+      const auto spent = ledger.park(2, 800, 9, 90, 900);
+      ledger.park(2, 800, 9, 91, 901);
+      ledger.drain(spent.group, [](std::int32_t, SimTime, std::uint32_t) {});
+      if (target_open) ledger.park(1, 5000, 8, 80, 800);
+      return ledger;
+    };
+    RtoLedger bulk = build();
+    RtoLedger reference = build();
+    const std::uint32_t fired = 0;  // the six attempt-0 entries, users 105..100
+
+    // Both send two entries, then the third is refused.
+    auto pop_two = [](RtoLedger& ledger) {
+      int popped = 0;
+      EXPECT_FALSE(ledger.drain_while(fired, [&](std::int32_t, SimTime, std::uint32_t) {
+        return popped++ < 2;
+      }));
+    };
+    pop_two(bulk);
+    pop_two(reference);
+
+    std::vector<std::uint32_t> moved;
+    const RtoLedger::Parked parked = bulk.repark(
+        fired, 1, 5000, [&](std::int32_t page, SimTime first_sent, std::uint32_t user) {
+          EXPECT_EQ(first_sent, 10 * static_cast<SimTime>(page));
+          moved.push_back(user);
+        });
+    EXPECT_EQ(moved, (std::vector<std::uint32_t>{103, 102, 101, 100}));
+    EXPECT_EQ(parked.opened, !target_open);
+
+    // Reference: pop one entry, park it, repeat until the group is gone.
+    std::vector<RtoLedger::Parked> parks;
+    for (bool emptied = false; !emptied;) {
+      bool took = false;
+      std::int32_t page = 0;
+      SimTime first_sent = 0;
+      std::uint32_t user = 0;
+      emptied = reference.drain_while(fired, [&](std::int32_t p, SimTime f, std::uint32_t u) {
+        if (took) return false;
+        took = true;
+        page = p;
+        first_sent = f;
+        user = u;
+        return true;
+      });
+      ASSERT_TRUE(took);
+      parks.push_back(reference.park(1, 5000, page, first_sent, user));
+    }
+    ASSERT_EQ(parks.size(), moved.size());
+    EXPECT_EQ(parked.group, parks.front().group);
+    EXPECT_EQ(parks.front().opened, parked.opened);
+
+    EXPECT_EQ(bulk.backlog(), reference.backlog());
+    EXPECT_EQ(bulk.memory_bytes(), reference.memory_bytes());
+    RtoLedger::Snapshot b, r;
+    bulk.capture(b);
+    reference.capture(r);
+    EXPECT_EQ(b.entry_page, r.entry_page);
+    EXPECT_EQ(b.entry_first_sent, r.entry_first_sent);
+    EXPECT_EQ(b.entry_user, r.entry_user);
+    EXPECT_EQ(b.entry_next, r.entry_next);
+    EXPECT_EQ(b.entry_free, r.entry_free);
+    EXPECT_EQ(b.group_deadline, r.group_deadline);
+    EXPECT_EQ(b.group_attempt, r.group_attempt);
+    EXPECT_EQ(b.group_head, r.group_head);
+    EXPECT_EQ(b.group_free, r.group_free);
+    EXPECT_EQ(b.open_group, r.open_group);
+
+    // The moved run drains newest-parked first, ahead of what the group
+    // already held; a capture/restore round trip replays the same order.
+    const std::vector<std::uint32_t> want =
+        target_open ? std::vector<std::uint32_t>{100, 101, 102, 103, 800}
+                    : std::vector<std::uint32_t>{100, 101, 102, 103};
+    EXPECT_EQ(drain_users(bulk, parked.group), want);
+    EXPECT_EQ(drain_users(reference, parked.group), want);
+    bulk.restore(b);
+    EXPECT_EQ(bulk.backlog(), reference.backlog() + static_cast<int>(want.size()));
+    EXPECT_EQ(drain_users(bulk, parked.group), want);
+    EXPECT_EQ(bulk.backlog(), reference.backlog());
+  }
+}
+
 TEST(CohortParts, MultinomialCountsConserveAndMatchDistribution) {
   const MarkovChain chain({{0.5, 0.3, 0.2}, {0.1, 0.6, 0.3}, {0.2, 0.2, 0.6}},
                           {0.6, 0.3, 0.1});

@@ -5,7 +5,9 @@
 // recorded span-event stream.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "queueing/ntier.h"
@@ -134,6 +136,69 @@ TEST(Retransmission, TracedRunMatchesUntracedCounters) {
                       f.system.submitted()};
   };
   EXPECT_EQ(run(true), run(false));
+}
+
+/// FNV-1a over the client-visible drop stream: every kDrop, kRetransmit and
+/// kAbandon event, field by field, in recording order.
+std::uint64_t drop_stream_hash(const trace::TraceRecorder& recorder) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  recorder.for_each([&](const trace::TraceEvent& ev) {
+    if (ev.kind != trace::EventKind::kDrop && ev.kind != trace::EventKind::kRetransmit &&
+        ev.kind != trace::EventKind::kAbandon) {
+      return;
+    }
+    mix(static_cast<std::uint64_t>(ev.time));
+    mix(static_cast<std::uint64_t>(ev.request));
+    mix(static_cast<std::uint64_t>(ev.aux));
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(ev.user)));
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(ev.tier)));
+    mix(static_cast<std::uint64_t>(ev.kind));
+    mix(ev.attempt);
+  });
+  return h;
+}
+
+TEST(Retransmission, TracedCohortOverloadMatchesUntracedCounters) {
+  // The cohort, quantized variant of the test above: 2000 cohort users on
+  // the 100 µs grid against a four-thread front tier, so most attempts are
+  // refused and whole RTO groups are re-parked or (at max_retries)
+  // abandoned. Tracing must not change any counter, and the recorded drop
+  // stream must stay the one pinned below (each refused attempt's kDrop
+  // directly followed by its kRetransmit or kAbandon).
+  auto run = [](bool traced, std::uint64_t* hash) {
+    Simulator sim;
+    queueing::NTierSystem system(sim, {{"front", 4, 1, 100}, {"back", 2, 1, 100}});
+    RequestRouter router(system);
+    trace::TraceRecorder recorder;
+    if (traced) system.set_trace(&recorder);
+    ClientConfig config;
+    config.num_users = 2000;
+    config.mode = ClientMode::kCohort;
+    config.max_retries = 3;
+    ClosedLoopClients clients(sim, router, uniform_profile({300.0, 4000.0}, sec(std::int64_t{2})),
+                              config, Rng(17));
+    if (traced) clients.set_trace(&recorder);
+    clients.start();
+    sim.run_until(sec(std::int64_t{30}));
+    if (hash != nullptr) *hash = drop_stream_hash(recorder);
+    return std::tuple{clients.completed(), clients.dropped_attempts(), clients.failed(),
+                      clients.retransmitted_completions(), clients.rto_backlog(),
+                      system.submitted(), system.dropped(), system.tier(0).rejected(),
+                      sim.events_executed()};
+  };
+  std::uint64_t hash = 0;
+  const auto traced = run(true, &hash);
+  EXPECT_EQ(traced, run(false, nullptr));
+  EXPECT_GT(std::get<2>(traced), 0) << "the config must reach max_retries";
+#ifndef MEMCA_TRACE_DISABLED
+  EXPECT_EQ(hash, 0x8a5fd25313c8c9a8ull);
+#endif
 }
 
 }  // namespace
