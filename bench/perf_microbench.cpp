@@ -302,13 +302,11 @@ void BM_RequestPoolChurn(benchmark::State& state) {
 BENCHMARK(BM_RequestPoolChurn);
 
 void BM_TierBatchDrain(benchmark::State& state) {
-  // Same-instant completion batches through a single tier (Arg = batch
-  // width): `width` equal-demand requests start together, so all their
-  // completions land on one simulated instant and the tier drains them in
-  // one pass — each event sees batch_continues() until the last member
-  // settles the pending counters with a single registry flush. This is the
-  // path the batched-drain optimisation targets; compare widths to see the
-  // per-completion cost fall as the flush amortises.
+  // Same-instant completions through a single tier (Arg = width): `width`
+  // equal-demand requests start together, so all their completions land on
+  // one simulated instant, each through its own event that counts directly
+  // into the tier and its attached registry counters. Compare widths for
+  // the per-completion cost when completions coincide.
   const int width = static_cast<int>(state.range(0));
   metrics::Registry registry;
   for (auto _ : state) {

@@ -10,7 +10,9 @@
 //
 // Included as a defense-evaluation substrate: the ablation benches show
 // which attack schedules CUSUM catches, at which detection latency, and
-// what false-alarm rate the defender pays for that sensitivity.
+// what false-alarm rate the defender pays for that sensitivity. OnlineCusum
+// is the one implementation: the defense pipeline feeds it one sample at a
+// time during a run, and detect_cusum replays a recorded series through it.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +41,41 @@ struct CusumDetection {
   double baseline_mean = 0.0;
 };
 
-/// One-sided (upward) CUSUM over the series values.
+/// Streaming one-sided (upward) CUSUM with bounded state: learns its
+/// baseline mean from the first baseline_samples samples, then
 /// S_0 = 0;  S_t = max(0, S_{t-1} + x_t - mean0 - k);  alarm when S_t > h.
+/// Resettable (after a mitigation, the baseline changes).
+class OnlineCusum {
+ public:
+  explicit OnlineCusum(CusumConfig config = {});
+
+  /// Feeds one sample; returns true on the sample that first crosses the
+  /// threshold (subsequent samples keep returning alarmed()).
+  bool update(double value);
+
+  bool alarmed() const { return alarmed_; }
+  double statistic() const { return statistic_; }
+  /// Largest statistic seen since the baseline was learned.
+  double peak_statistic() const { return peak_statistic_; }
+  double baseline() const { return baseline_; }
+  bool baseline_ready() const { return seen_ >= config_.baseline_samples; }
+  std::size_t samples_seen() const { return seen_; }
+
+  /// Forgets everything (baseline re-learned from upcoming samples).
+  void reset();
+
+ private:
+  CusumConfig config_;
+  std::size_t seen_ = 0;
+  double baseline_sum_ = 0.0;
+  double baseline_ = 0.0;
+  double statistic_ = 0.0;
+  double peak_statistic_ = 0.0;
+  bool alarmed_ = false;
+};
+
+/// Replays the series values through an OnlineCusum. A series no longer
+/// than the baseline window reports nothing (baseline_mean stays 0).
 CusumDetection detect_cusum(const TimeSeries& series, const CusumConfig& config = {});
 
 }  // namespace memca::monitor

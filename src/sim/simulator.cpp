@@ -48,15 +48,7 @@ void Simulator::drain(SimTime limit) {
       if (wheel_next_ <= target && advance_wheel(target)) continue;
     }
     if (queue_entries_ == 0 || next > limit) return;
-    const Event ev = queue_pop();
-    // Batch hint for the callback about to run: stale unless re-derived, so
-    // untagged events always present "no batch". For a tagged event the peek
-    // answers "does another member of my batch fire right after me at this
-    // same instant?" — every wheel event at or before ev.time is already
-    // queued (the advance above ran to ev.time first), so bucket 0's head
-    // really is the global successor at this instant.
-    batch_continues_ = ev.batch != 0 && next_live_matches(ev.batch);
-    fire(ev);
+    fire(queue_pop());
   }
 }
 
@@ -94,30 +86,6 @@ Simulator::Event Simulator::queue_pop() {
   const Event ev = queue_[0][queue_head_];
   queue_drop_head();
   return ev;
-}
-
-bool Simulator::next_live_matches(std::uint32_t batch) {
-  const std::vector<Event>& ties = queue_[0];
-  while (queue_head_ < ties.size()) {
-    const Event& next = ties[queue_head_];
-    MEMCA_DCHECK(next.time == queue_last_);
-    // Cheap reject first: the tag is on a line this peek's caller just
-    // touched, while the slot-liveness word is a random load into the
-    // closure arena. (A stale head carrying a *different* tag can hide a
-    // live matching event behind it; answering false there is merely
-    // conservative — an early counter flush, never a wrong count.)
-    if (next.batch != batch) return false;
-    if (slot(next.slot).seq_live == occupant_key(next.seq)) return true;
-    // Stale head at the batch instant with this batch's own tag: drop it
-    // here instead of making fire() discard it one iteration later — the
-    // peek must see through cancelled entries to the event that will
-    // actually run.
-    MEMCA_DCHECK(cancelled_pending_ > 0);
-    --cancelled_pending_;
-    queue_drop_head();
-  }
-  // Bucket 0 drained: every other queued entry is at a later instant.
-  return false;
 }
 
 bool Simulator::fire(const Event& ev) {
@@ -182,7 +150,6 @@ void Simulator::capture(Snapshot& out) const {
   out.now = now_;
   out.next_seq = next_seq_;
   out.executed = executed_;
-  out.last_batch_key = last_batch_key_;
   out.live_pending = live_pending_;
   out.pending_high_water = pending_high_water_;
   out.cancelled_pending = cancelled_pending_;
@@ -243,8 +210,6 @@ void Simulator::restore(const Snapshot& snap) {
   now_ = snap.now;
   next_seq_ = snap.next_seq;
   executed_ = snap.executed;
-  last_batch_key_ = snap.last_batch_key;
-  batch_continues_ = false;
   live_pending_ = snap.live_pending;
   pending_high_water_ = snap.pending_high_water;
   cancelled_pending_ = snap.cancelled_pending;

@@ -39,15 +39,13 @@
 //    regardless of population size. The wakers are then scattered uniformly
 //    over millisecond sub-slots inside the window (for tick << Z the
 //    truncated-exponential wake instant is uniform to first order), and each
-//    occupied sub-slot emits one *batch-tagged* send event per target page
-//    sharing that instant's batch key — so arrival *instants* match the
-//    exact model's spread while same-instant batches still drive
-//    Simulator::batch_continues whenever the per-slot arrival count exceeds
-//    one (every slot, at population scale). Individual identity (a compact
-//    slot id) exists only while a request or RTO is in flight; RFC 6298
-//    timers aggregate per (deadline, attempt) group in an RtoLedger, and a
-//    group fire sends its entries while the front tier admits and re-parks
-//    or abandons the rest in bulk (see above).
+//    occupied sub-slot emits one send event per target page, carrying that
+//    cell's whole arrival count — so arrival *instants* match the exact
+//    model's spread at O(sub-slots × pages) events per tick. Individual
+//    identity (a compact slot id) exists only while a request or RTO is in
+//    flight; RFC 6298 timers aggregate per (deadline, attempt) group in an
+//    RtoLedger, and a group fire sends its entries while the front tier
+//    admits and re-parks or abandons the rest in bulk (see above).
 //    Statistically the cohort model quantizes the *start* of each think
 //    period to the tick grid (adding ~tick/2 to the effective think time,
 //    0.4% at the defaults); arrival instants themselves are not bunched —
@@ -235,7 +233,7 @@ class ClosedLoopClients {
   void on_refused(queueing::Request::Id id, int user, int page, SimTime first_sent,
                   int attempt);
   /// One cohort think tick: binomial wake-ups per page, multinomial page
-  /// transitions, one batch-tagged send event per target page.
+  /// transitions, one send event per occupied (sub-slot, target page).
   void on_cohort_tick();
   /// Sends `count` fresh requests on `page`, one slot id each.
   void send_cohort_burst(int page, std::int32_t count);

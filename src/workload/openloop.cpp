@@ -60,20 +60,18 @@ void OpenLoopSource::on_tick() {
   if (arrivals > 0) {
     // Walk the chain once per arrival (the same draw sequence a per-arrival
     // scheduler would make) but accumulate per-page counts and emit one
-    // batch-tagged send event per page, so the tiers fold the whole tick's
-    // arrivals into one counter flush.
+    // same-instant send event per page instead of one event per arrival.
     for (std::int64_t i = 0; i < arrivals; ++i) {
       markov_state_ = chain_.next(markov_state_, rng_);
       ++send_scratch_[static_cast<std::size_t>(markov_state_)];
     }
     generated_ += arrivals;
-    const std::uint32_t key = sim_.new_batch_key();
     for (std::size_t p = 0; p < send_scratch_.size(); ++p) {
       if (send_scratch_[p] == 0) continue;
       const int page = static_cast<int>(p);
       const auto count = static_cast<std::int32_t>(send_scratch_[p]);
       send_scratch_[p] = 0;
-      sim_.schedule_batched(now, key, [this, page, count] {
+      sim_.schedule_at(now, [this, page, count] {
         for (std::int32_t i = 0; i < count; ++i) send_request(page, sim_.now(), 0);
       });
     }

@@ -28,8 +28,8 @@ struct OpenLoopConfig {
   int max_retries = 3;
   SimTime stats_warmup = 0;
   /// Aggregate (cohort-style) arrival scheduling: draw Poisson(rate · tick)
-  /// arrivals once per tick and emit them as batch-tagged same-instant send
-  /// events, one per page class, instead of one exponential timer per
+  /// arrivals once per tick and emit them as same-instant send events, one
+  /// per page class, instead of one exponential timer per
   /// arrival. The per-window counts are exactly Poisson; only the arrival
   /// *instants* quantize to the tick grid. Scales the source to arbitrary
   /// rates at O(pages) events per tick.

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "monitor/cusum.h"
 
 namespace memca::defense {
 namespace {
+
+using monitor::OnlineCusum;
 
 TEST(OnlineCusum, LearnsBaselineThenWatches) {
   OnlineCusum cusum;

@@ -16,19 +16,13 @@
 #include "flightrec/incident.h"
 #include "sim/simulator.h"
 #include "support/counting_alloc.h"
+#include "support/trace_skip.h"
 #include "testbed/attack_lab.h"
 #include "testbed/rubbos_testbed.h"
 #include "trace/recorder.h"
 
 namespace memca::flightrec {
 namespace {
-
-#ifdef MEMCA_TRACE_DISABLED
-#define MEMCA_SKIP_IF_TRACE_DISABLED() \
-  GTEST_SKIP() << "tracing compiled out (MEMCA_TRACE=OFF)"
-#else
-#define MEMCA_SKIP_IF_TRACE_DISABLED()
-#endif
 
 trace::TraceRecorder::Config ring_config(std::size_t capacity) {
   trace::TraceRecorder::Config config;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "queueing/test_util.h"
+#include "support/trace_skip.h"
 #include "testbed/rubbos_testbed.h"
 #include "trace/attributor.h"
 
@@ -112,6 +113,7 @@ TEST(OltpTier, LockWaitSpanNestsInsideTheTierWindow) {
   ASSERT_TRUE(f.tier.try_submit(b));
   f.sim.run_all();
 
+  MEMCA_SKIP_IF_TRACE_DISABLED();
   // Exactly one transaction stalled -> exactly one span: stalled from t=0
   // (aux) to the grant at t=1000 (time), inside [enter=0, service_start=
   // 1000) of request 1's tier span.
@@ -189,6 +191,8 @@ TEST(OltpTierTestbed, AttributionStaysExactWithLockWaits) {
   EXPECT_GT(bed.oltp_tier()->commits(), 0);
   EXPECT_GT(bed.oltp_tier()->lock_waits(), 0);
 
+  // The attribution half reads recorded spans.
+  MEMCA_SKIP_IF_TRACE_DISABLED();
   trace::TailAttributor attributor(*bed.trace(), bed.system().depth());
   ASSERT_GT(attributor.requests().size(), 0u);
   std::int64_t with_lock_wait = 0;

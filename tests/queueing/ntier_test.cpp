@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "metrics/registry.h"
 #include "test_util.h"
 #include "trace/recorder.h"
 
@@ -184,6 +185,88 @@ TEST(NTierSystem, ThroughputLimitedByBottleneck) {
   f.sim.run_until(sec(std::int64_t{2}));
   const double rate = static_cast<double>(f.system.completed()) / 2.0;
   EXPECT_NEAR(rate, 1000.0, 60.0);
+}
+
+// How often each delivery callback ran in run_registry_agreement.
+struct CallbackCounts {
+  int replies = 0;
+  int batch_replies = 0;
+  int drops = 0;
+};
+
+/// Equal demands put every tier's completions on shared instants: the front
+/// tier's four workers finish together, then the middle tier's, then the
+/// back tier's two (the other two wait blocked in the middle tier). In
+/// quantized mode those are completion groups and the back tier's group
+/// reaches the clients through the batch reply sink. The first reply
+/// resubmits a burst the front tier cannot hold, so drops happen inside an
+/// event too. Every callback asserts that each tier's registry counters
+/// equal its accessors at that moment.
+CallbackCounts run_registry_agreement(std::uint32_t quantum) {
+  Simulator sim;
+  NTierSystem system(sim, {{"apache", 6, 4, quantum},
+                           {"tomcat", 4, 4, quantum},
+                           {"mysql", 2, 2, quantum}});
+  metrics::Registry registry;
+  std::vector<TierMetrics> handles;
+  for (std::size_t i = 0; i < system.num_tiers(); ++i) {
+    const metrics::Labels tier{{"tier", system.tier(i).name()}};
+    handles.push_back({registry.counter("offered", tier), registry.counter("admitted", tier),
+                       registry.counter("rejected", tier), registry.counter("completed", tier)});
+    system.tier(i).set_metrics(handles.back());
+  }
+  const auto agree = [&](const char* where) {
+    for (std::size_t i = 0; i < system.num_tiers(); ++i) {
+      SCOPED_TRACE(testing::Message() << where << ", tier " << i);
+      const TierServer& t = system.tier(i);
+      EXPECT_EQ(handles[i].offered.value(), t.offered());
+      EXPECT_EQ(handles[i].admitted.value(), t.admitted());
+      EXPECT_EQ(handles[i].rejected.value(), t.rejected());
+      EXPECT_EQ(handles[i].completed.value(), t.completed());
+    }
+  };
+  CallbackCounts counts;
+  Request::Id next_id = 0;
+  const auto submit = [&] {
+    system.submit(make_request(system.pool(), next_id++, {100.0, 100.0, 100.0}, sim.now()));
+  };
+  bool burst_sent = false;
+  const auto burst_once = [&] {
+    if (burst_sent) return;
+    burst_sent = true;
+    for (int i = 0; i < 8; ++i) submit();
+  };
+  system.set_on_complete([&](const Request&) {
+    agree("reply sink");
+    ++counts.replies;
+    burst_once();
+  });
+  system.set_on_complete_batch([&](Request* const*, std::size_t) {
+    agree("batch reply sink");
+    ++counts.batch_replies;
+    burst_once();
+  });
+  system.set_on_drop([&](const Request&) {
+    agree("on_drop");
+    ++counts.drops;
+  });
+  for (int i = 0; i < 8; ++i) submit();
+  sim.run_all();
+  agree("end of run");
+  EXPECT_EQ(system.in_flight(), 0);
+  return counts;
+}
+
+TEST(NTierSystem, RegistryMatchesAccessorsInsideCallbacks) {
+  const CallbackCounts counts = run_registry_agreement(0);
+  EXPECT_GT(counts.replies, 0);
+  EXPECT_GT(counts.drops, 2);  // two at submit time, more from inside the reply
+}
+
+TEST(NTierSystem, RegistryMatchesAccessorsInsideQuantizedCallbacks) {
+  const CallbackCounts counts = run_registry_agreement(100);
+  EXPECT_GT(counts.batch_replies, 0);
+  EXPECT_GT(counts.drops, 2);
 }
 
 }  // namespace

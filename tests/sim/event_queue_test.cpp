@@ -2,15 +2,13 @@
 // interleavings drive every path an entry can take through the engine:
 // schedule_at/schedule_in with zero delays, sub-wheel delays, wheel-range
 // delays and delays past the wheel horizon (with many same-instant ties),
-// cancel, cancel_bulk, schedule_batched with batch_continues() probes,
-// run_until steps of random length and the occasional run_all. Each run is
-// replayed twice from a mid-run capture. The fired sequence must equal a
-// reference built outside the engine: every scheduled, never-cancelled event
-// sorted by (time, seq).
+// cancel, cancel_bulk, run_until steps of random length and the occasional
+// run_all. Each run is replayed twice from a mid-run capture. The fired
+// sequence must equal a reference built outside the engine: every scheduled,
+// never-cancelled event sorted by (time, seq).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -47,16 +45,11 @@ struct FuzzState {
   struct Record {
     SimTime time;
     EventHandle handle;
-    std::uint32_t batch;
     bool cancelled;
-    /// Events fired before this one was scheduled.
-    std::size_t fired_before;
   };
   /// Index == scheduling order, which is the engine's seq order.
   std::vector<Record> records;
   std::vector<std::uint32_t> fired;
-  /// batch_continues() as seen by each fired event, parallel to `fired`.
-  std::vector<bool> continues;
   /// Set while run_all drains: callbacks then schedule nothing.
   bool quiet = false;
 };
@@ -65,10 +58,7 @@ class OrderFuzz {
  public:
   static constexpr std::size_t kBudget = 3000;  // events scheduled per run
 
-  explicit OrderFuzz(std::uint64_t seed) {
-    st_.rng.seed(seed);
-    for (std::uint32_t& key : keys_) key = sim_.new_batch_key();
-  }
+  explicit OrderFuzz(std::uint64_t seed) { st_.rng.seed(seed); }
 
   /// Runs until the budget is spent and the queue is empty, capturing once
   /// half-way through the budget; then replays from the capture twice.
@@ -144,18 +134,12 @@ class OrderFuzz {
     return sim_.now() + random_delay();
   }
 
-  void schedule_one(SimTime when, std::uint32_t batch) {
+  void schedule_one(SimTime when) {
     const auto id = static_cast<std::uint32_t>(st_.records.size());
     const auto fn = [this, id] { on_fire(id); };
-    EventHandle h;
-    if (batch != 0) {
-      h = sim_.schedule_batched(when, batch, fn);
-    } else if (draw(2) == 0) {
-      h = sim_.schedule_at(when, fn);
-    } else {
-      h = sim_.schedule_in(when - sim_.now(), fn);
-    }
-    st_.records.push_back({when, h, batch, false, st_.fired.size()});
+    const EventHandle h = draw(2) == 0 ? sim_.schedule_at(when, fn)
+                                       : sim_.schedule_in(when - sim_.now(), fn);
+    st_.records.push_back({when, h, false});
   }
 
   void cancel_one(std::uint32_t id) {
@@ -169,22 +153,18 @@ class OrderFuzz {
   void act() {
     if (st_.records.size() >= kBudget) return;
     if (st_.records.empty()) {
-      schedule_one(random_when(), 0);
+      schedule_one(random_when());
       return;
     }
     switch (draw(8)) {
       case 0:
       case 1:
       case 2:
-        schedule_one(random_when(), 0);
+        schedule_one(random_when());
         break;
-      case 3: {  // a batch sharing one instant, possibly with untagged ties
+      case 3: {  // several ties at one instant
         const SimTime when = random_when();
-        const std::uint32_t key = keys_[draw(keys_.size())];
-        const std::uint64_t n = 2 + draw(4);
-        for (std::uint64_t i = 0; i < n; ++i) {
-          schedule_one(when, draw(4) == 0 ? 0 : key);
-        }
+        for (std::uint64_t i = 0, n = 2 + draw(4); i < n; ++i) schedule_one(when);
         break;
       }
       case 4:
@@ -203,7 +183,7 @@ class OrderFuzz {
         break;
       }
       default:
-        schedule_one(sim_.now(), 0);  // same-instant follow-up
+        schedule_one(sim_.now());  // same-instant follow-up
         break;
     }
   }
@@ -213,10 +193,7 @@ class OrderFuzz {
     ASSERT_FALSE(r.cancelled);
     ASSERT_EQ(sim_.now(), r.time);
     st_.fired.push_back(id);
-    st_.continues.push_back(sim_.batch_continues());
-    // Batch members leave the queue alone after their probe, so the probe's
-    // successor is exactly the next event to fire (checked in finish()).
-    if (r.batch != 0 || st_.quiet) return;
+    if (st_.quiet) return;
     for (std::uint64_t i = 0, n = draw(3); i < n; ++i) act();
   }
 
@@ -260,41 +237,11 @@ class OrderFuzz {
     std::sort(reference.begin(), reference.end(),
               [this](std::uint32_t a, std::uint32_t b) { return before(a, b); });
     EXPECT_EQ(st_.fired, reference);
-    for (std::size_t k = 0; k < st_.fired.size(); ++k) {
-      const std::uint32_t id = st_.fired[k];
-      const FuzzState::Record& r = st_.records[id];
-      if (r.batch == 0) {
-        EXPECT_FALSE(st_.continues[k]) << "untagged event " << id;
-        continue;
-      }
-      // The peek only sees a successor already scheduled when this member
-      // fired: a run call may return right after it, and the next member be
-      // scheduled at the same instant from outside any callback.
-      const bool next_is_member =
-          k + 1 < st_.fired.size() &&
-          st_.records[st_.fired[k + 1]].time == r.time &&
-          st_.records[st_.fired[k + 1]].batch == r.batch &&
-          st_.records[st_.fired[k + 1]].fired_before <= k;
-      if (!next_is_member) {
-        EXPECT_FALSE(st_.continues[k]) << "last member " << id;
-      } else if (!st_.continues[k]) {
-        // Only a cancelled foreign-tagged tie in between may hide the next
-        // member from the peek (a conservative early flush).
-        const std::uint32_t next = st_.fired[k + 1];
-        bool hidden = false;
-        for (std::uint32_t c = id + 1; c < next; ++c) {
-          const FuzzState::Record& s = st_.records[c];
-          hidden |= s.cancelled && s.time == r.time && s.batch != r.batch;
-        }
-        EXPECT_TRUE(hidden) << "member " << id << " missed its successor";
-      }
-    }
     return st_.fired;
   }
 
   Simulator sim_;
   FuzzState st_;
-  std::array<std::uint32_t, 3> keys_{};
 };
 
 TEST(EventQueueOrder, RandomInterleavingsFireInTimeSeqOrder) {

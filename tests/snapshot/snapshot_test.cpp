@@ -227,14 +227,13 @@ TEST(SnapshotRollback, RollbackAllocatesNothingAfterTheFirstSnapshot) {
   }
 }
 
-// -- batched tier drain vs checkpointing ------------------------------------
+// -- same-instant completions vs checkpointing ------------------------------
 //
-// Tier throughput counters are accumulated in batch-pending cells and only
-// settled when a same-instant completion batch ends (Simulator::
-// batch_continues). These tests pin the contract that makes that safe to
-// checkpoint: pendings are provably zero between events, accessor reads are
-// exact at any instant, and the SoA request arena (the hot lanes behind the
-// batch) round-trips through capture/restore byte for byte.
+// Several completions of one tier can land on one instant. These tests pin
+// what a checkpoint or an observer at that instant relies on: tier counters
+// are exact at any point inside it, a capture taken between two of its
+// events sees settled state, and the SoA request arena (the hot lanes the
+// tiers write) round-trips through capture/restore byte for byte.
 
 queueing::Request* submit_one(queueing::NTierSystem& system, queueing::Request::Id id,
                               std::vector<double> demand) {
@@ -246,15 +245,13 @@ queueing::Request* submit_one(queueing::NTierSystem& system, queueing::Request::
 
 TEST(BatchDrain, CountersExactWhenObservedAtTheBatchInstant) {
   // Eight equal-demand requests start together, so their completions all
-  // land on one instant as one batch. An untagged observer event at that
-  // same instant must interleave with fully settled counters: the batch
-  // hint is recomputed per fired event, so the member just before the
-  // observer flushes.
+  // land on one instant. An observer event at that same instant must see
+  // every completion that fired before it counted.
   Simulator sim;
   queueing::NTierSystem system(sim, {{"solo", 32, 8}});
   for (int i = 0; i < 8; ++i) ASSERT_NE(submit_one(system, i, {100.0}), nullptr);
   std::int64_t seen_completed = -1;
-  queueing::TierServer::Snapshot mid;  // capture CHECKs pendings are zero
+  queueing::TierServer::Snapshot mid;  // capture CHECKs no reply is staged
   sim.schedule_at(usec(100), [&] {
     seen_completed = system.tier(0).completed();
     system.tier(0).capture(mid);
@@ -267,9 +264,9 @@ TEST(BatchDrain, CountersExactWhenObservedAtTheBatchInstant) {
 
 TEST(BatchDrain, DropRetransmitCrossingTheBatchBoundary) {
   // A front-tier drop fires at the same instant as (and just before) a
-  // same-instant completion batch: the drop's counter flush must not be
-  // deferred by the upcoming batch, and the retransmission must complete
-  // against the post-batch world. This is the drop→retransmit round trip
+  // same-instant completion batch: the drop must be counted before the
+  // batch fires, and the retransmission must complete against the
+  // post-batch world. This is the drop→retransmit round trip
   // the client RTO path performs, compressed onto one batch edge.
   Simulator sim;
   queueing::NTierSystem system(sim, {{"solo", 2, 2}});
