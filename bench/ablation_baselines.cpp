@@ -62,7 +62,7 @@ Row run(const std::string& name) {
   row.p95 = bed.clients().response_times().quantile(0.95);
   row.p99 = bed.clients().response_times().quantile(0.99);
   row.throughput = bed.clients().throughput();
-  const TimeSeries& cpu = bed.mysql_cpu().series();
+  const TimeSeries& cpu = bed.target_cpu();
   row.cpu_mean = cpu.mean();
   row.autoscale = monitor::evaluate_autoscaler(cpu, monitor::AutoScalerConfig{}).triggered;
   monitor::AutoScalerConfig one_second;

@@ -40,7 +40,7 @@ int main() {
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
 
-  const TimeSeries& fine = bed.mysql_cpu().series();
+  const TimeSeries& fine = bed.target_cpu();
 
   print_banner(std::cout, "Fig. 10a — 1-minute monitoring (CloudWatch granularity)");
   Table a({"window start", "avg CPU %"});
@@ -106,7 +106,7 @@ int main() {
 
   // Machine-readable run report, built from the scraped registry alone.
   // The blind-spot claim must reproduce from registry data without touching
-  // the monitor samplers above: the target tier's scraped utilization
+  // the target-CPU series above: the target tier's scraped utilization
   // saturates at native (50 ms) resolution while its 1 s and 1 min
   // resamples never cross the 85% auto-scaling trigger.
   bed.finalize_metrics(attack.get());
@@ -174,7 +174,7 @@ int main() {
   attack.reset();
   bed.rollback();
   bed.sim().run_for(3 * kMinute);
-  const TimeSeries& base = bed.mysql_cpu().series();
+  const TimeSeries& base = bed.target_cpu();
   print_banner(std::cout, "Baseline (same world via snapshot rollback, attack off)");
   std::cout << "mysql CPU: mean " << Table::num(base.mean() * 100.0, 1) << "%, max 50 ms "
             << Table::num(base.max() * 100.0, 1) << "%, saturated (>98%) windows: "

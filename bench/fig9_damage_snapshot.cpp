@@ -48,12 +48,12 @@ int main() {
     }
     return false;
   };
-  const auto& cpu = bed.mysql_cpu().series().samples();
+  const auto& cpu = bed.target_cpu().samples();
   for (const Sample& s : cpu) {
     if (s.time < window_start || s.time >= window_end) continue;
     if (s.time % msec(100) != 0) continue;  // print every other sample
     auto queue_at = [&](std::size_t tier) {
-      const auto& q = bed.queue_gauge(tier).series().samples();
+      const auto& q = bed.queue_series(tier).samples();
       for (const Sample& g : q) {
         if (g.time >= s.time) return g.value;
       }

@@ -16,6 +16,7 @@
 #include "cloud/membw.h"
 #include "common/histogram.h"
 #include "common/rng.h"
+#include "common/sample_frame.h"
 #include "flightrec/flight_recorder.h"
 #include "flightrec/quantile_sketch.h"
 #include "metrics/registry.h"
@@ -186,26 +187,21 @@ BENCHMARK(BM_QuantileSketch);
 
 void BM_FlightRecorder(benchmark::State& state) {
   // One flight-recorder tick (timeline frame capture + incident bookkeeping)
-  // over a synthetic 3-tier probe set. At the default 50 ms resolution this
-  // runs 20x per simulated second, so even a microsecond here is noise
+  // over a synthetic 3-tier sample frame. At the default 50 ms resolution
+  // this runs 20x per simulated second, so even a microsecond here is noise
   // against the testbed's per-second event cost.
-  Simulator sim;
   trace::TraceRecorder::Config ring_config;
   ring_config.ring_capacity = std::size_t{1} << 14;
   trace::TraceRecorder ring(ring_config);
-  flightrec::FlightRecorder flight(sim, &ring, {});
-  flight.set_capacity_probe([] { return 0.95; });
-  int depth = 12;
-  std::int64_t rejected = 0;
-  for (std::size_t t = 0; t < 3; ++t) {
-    flight.set_queue_depth_probe(t, [&depth] { return depth; });
-    flight.set_rejected_probe(t, [&rejected] { return rejected; });
-  }
-  flight.set_rto_backlog_probe([] { return 2; });
-  flight.start();
+  flightrec::FlightRecorder flight(&ring, {});
+  SampleFrame frame;
+  frame.capacity = 0.95;
+  frame.rto_backlog = 2;
+  frame.depth = {12, 12, 12};
   for (auto _ : state) {
-    ++depth;
-    sim.run_for(msec(50));
+    frame.now += msec(50);
+    for (std::size_t t = 0; t < 3; ++t) ++frame.depth[t];
+    flight.tick(frame);
   }
   benchmark::DoNotOptimize(flight.timeline().total());
   state.SetItemsProcessed(state.iterations());
@@ -473,7 +469,7 @@ void BM_FullTestbedSecond(benchmark::State& state) {
   // One simulated second of the full attacked 3500-user scenario per
   // iteration (construction amortised out by measuring a long run).
   // Arg(1) runs the same scenario with per-request tracing on; Arg(2) with
-  // the metrics registry + 50 ms scraper on; Arg(3) with the always-on
+  // the metrics registry scraped every 50 ms; Arg(3) with the always-on
   // flight recorder (span ring + sketches + timeline + incident detection).
   // Comparing each rate against Arg(0) measures the end-to-end overhead
   // (< 5% target for tracing and for the flight recorder, < 3% for
@@ -571,7 +567,7 @@ void BM_FullTestbedSecondOltp(benchmark::State& state) {
 BENCHMARK(BM_FullTestbedSecondOltp)->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotRollback(benchmark::State& state) {
-  // One rollback of a full warmed testbed (metrics + scraper on) per
+  // One rollback of a full warmed testbed (metrics on) per
   // iteration, after a simulated second of divergence. This is the per-cell
   // rewind price the checkpointed sweep pays instead of re-simulating the
   // warm-up prefix; it must stay far below one simulated second's cost for

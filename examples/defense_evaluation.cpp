@@ -76,7 +76,7 @@ DetectionReport evaluate(const std::string& attack_name) {
   DetectionReport report;
   report.attack = attack_name;
   report.p95 = bed.clients().response_times().quantile(0.95);
-  const TimeSeries& cpu = bed.mysql_cpu().series();
+  const TimeSeries& cpu = bed.target_cpu();
   report.cloudwatch =
       monitor::evaluate_autoscaler(cpu, monitor::AutoScalerConfig{}).triggered;
   monitor::AutoScalerConfig one_second;

@@ -36,6 +36,14 @@ class TimeSeries {
     if (n < samples_.size()) samples_.resize(n);
   }
 
+  /// Checkpoint: a series is append-only, so its length is its whole
+  /// state and restore is a truncation.
+  struct Snapshot {
+    std::size_t size = 0;
+  };
+  void capture(Snapshot& out) const { out.size = samples_.size(); }
+  void restore(const Snapshot& snap) { truncate(snap.size); }
+
   const std::vector<Sample>& samples() const& { return samples_; }
   /// Rvalue overload returns by value so `resample_mean(...).samples()` in a
   /// range-for binds a lifetime-extended temporary instead of dangling.

@@ -7,9 +7,8 @@
 
 namespace memca::flightrec {
 
-FlightRecorder::FlightRecorder(Simulator& sim, trace::TraceRecorder* ring,
-                               FlightRecorderConfig config)
-    : sim_(sim), ring_(ring), config_(config), timeline_(config.timeline_frames) {
+FlightRecorder::FlightRecorder(trace::TraceRecorder* ring, FlightRecorderConfig config)
+    : ring_(ring), config_(config), timeline_(config.timeline_frames) {
   MEMCA_CHECK_MSG(config_.resolution > 0, "tick resolution must be positive");
   MEMCA_CHECK_MSG(config_.depth >= 1 && config_.depth <= kTimelineMaxTiers,
                   "attribution depth must fit the timeline tier slots");
@@ -24,28 +23,6 @@ FlightRecorder::FlightRecorder(Simulator& sim, trace::TraceRecorder* ring,
   open_.pinned.reserve(config_.max_pinned_events);
   pending_pins_.reserve(kMaxPendingPins);
   incidents_.reserve(config_.max_incidents);
-}
-
-void FlightRecorder::set_queue_depth_probe(std::size_t tier, std::function<int()> probe) {
-  MEMCA_CHECK(tier < kTimelineMaxTiers);
-  queue_depth_probes_[tier] = std::move(probe);
-}
-
-void FlightRecorder::set_rejected_probe(std::size_t tier, std::function<std::int64_t()> probe) {
-  MEMCA_CHECK(tier < kTimelineMaxTiers);
-  rejected_probes_[tier] = std::move(probe);
-}
-
-void FlightRecorder::start() {
-  MEMCA_CHECK_MSG(task_ == nullptr, "flight recorder already started");
-  task_ = std::make_unique<PeriodicTask>(sim_, config_.resolution, [this] { tick(); });
-}
-
-void FlightRecorder::stop() {
-  if (task_ != nullptr) {
-    task_->stop();
-    task_.reset();
-  }
 }
 
 QuantileSketch* FlightRecorder::tier_residence_sketch(std::size_t tier) {
@@ -73,29 +50,20 @@ void FlightRecorder::on_completion(SimTime now, SimTime first_sent, std::int32_t
   }
 }
 
-void FlightRecorder::tick() {
-  const SimTime now = sim_.now();
+void FlightRecorder::tick(const SampleFrame& sample) {
+  const SimTime now = sample.now;
   TimelineFrame frame;
   frame.start = now - config_.resolution;
 
-  const double capacity = capacity_probe_ ? capacity_probe_() : 1.0;
-  frame.capacity_last = capacity;
-  frame.capacity_min = std::min(capacity, last_capacity_);
-  last_capacity_ = capacity;
+  frame.capacity_last = sample.capacity;
+  frame.capacity_min = std::min(sample.capacity, last_capacity_);
+  last_capacity_ = sample.capacity;
 
   for (std::size_t t = 0; t < config_.depth; ++t) {
-    if (queue_depth_probes_[t]) {
-      frame.queue_depth[t] = static_cast<std::uint32_t>(std::max(0, queue_depth_probes_[t]()));
-    }
-    if (rejected_probes_[t]) {
-      const std::int64_t rejected = rejected_probes_[t]();
-      frame.tier_drops[t] = static_cast<std::uint32_t>(rejected - last_rejected_[t]);
-      last_rejected_[t] = rejected;
-    }
+    frame.queue_depth[t] = static_cast<std::uint32_t>(std::max(0, sample.depth[t]));
+    frame.tier_drops[t] = static_cast<std::uint32_t>(sample.rejected[t]);
   }
-  if (rto_backlog_probe_) {
-    frame.rto_backlog = static_cast<std::uint32_t>(std::max(0, rto_backlog_probe_()));
-  }
+  frame.rto_backlog = static_cast<std::uint32_t>(std::max(0, sample.rto_backlog));
   frame.vlrt_completions = vlrt_in_window_;
   vlrt_in_window_ = 0;
   timeline_.push(frame);
@@ -283,14 +251,11 @@ void FlightRecorder::capture(Snapshot& out) const {
   out.next_id = next_id_;
   out.last_capacity = last_capacity_;
   out.in_dip = in_dip_;
-  out.last_rejected = last_rejected_;
   out.vlrt_in_window = vlrt_in_window_;
   out.tick_seq = tick_seq_;
   out.pinned_events_total = pinned_events_total_;
   out.affected_requests_total = affected_requests_total_;
   out.open = open_;
-  out.has_task = task_ != nullptr;
-  if (task_ != nullptr) task_->capture(out.task);
 }
 
 void FlightRecorder::restore(const Snapshot& snap) {
@@ -306,7 +271,6 @@ void FlightRecorder::restore(const Snapshot& snap) {
   next_id_ = snap.next_id;
   last_capacity_ = snap.last_capacity;
   in_dip_ = snap.in_dip;
-  last_rejected_ = snap.last_rejected;
   vlrt_in_window_ = snap.vlrt_in_window;
   tick_seq_ = snap.tick_seq;
   pinned_events_total_ = snap.pinned_events_total;
@@ -325,8 +289,6 @@ void FlightRecorder::restore(const Snapshot& snap) {
   open_.worst_rt = snap.open.worst_rt;
   open_.pinned.assign(snap.open.pinned.begin(), snap.open.pinned.end());
   pending_pins_.assign(snap.pending_pins.begin(), snap.pending_pins.end());
-  MEMCA_CHECK(snap.has_task == (task_ != nullptr));
-  if (task_ != nullptr) task_->restore(snap.task);
 }
 
 }  // namespace memca::flightrec

@@ -24,30 +24,33 @@
 // spans through trace::TailAttributor for the per-phase decomposition, and
 // emits a structured Incident (see incident.h).
 //
-// Everything runs inside the owning cell's deterministic event order (the
-// tick is a PeriodicTask), so incidents — like every other sweep output —
-// are bit-identical across MEMCA_SWEEP_THREADS, and the whole recorder
-// checkpoints/rolls back with the world (mid-incident included).
+// The recorder has no clock of its own: its owner samples the system once
+// per resolution into a SampleFrame and calls tick(frame) (the testbed's
+// one sampling task does, so the timeline holds exactly the values the
+// monitor series and the registry scrape hold). Everything therefore runs
+// inside the owning cell's deterministic event order, so incidents —
+// like every other sweep output — are bit-identical across
+// MEMCA_SWEEP_THREADS, and the whole recorder checkpoints/rolls back with
+// the world (mid-incident included).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
+#include "common/sample_frame.h"
 #include "common/time.h"
 #include "flightrec/incident.h"
 #include "flightrec/quantile_sketch.h"
 #include "flightrec/timeline.h"
-#include "sim/simulator.h"
 #include "trace/attributor.h"
 #include "trace/recorder.h"
 
 namespace memca::flightrec {
 
 struct FlightRecorderConfig {
-  /// Tick/window resolution (the paper's native 50 ms tooling).
+  /// Tick/window resolution (the paper's native 50 ms tooling): the period
+  /// the owner calls tick() at.
   SimTime resolution = msec(50);
   /// Rolling timeline depth in frames (256 × 50 ms ≈ 12.8 s of history).
   std::size_t timeline_frames = 256;
@@ -88,28 +91,17 @@ struct FlightRecorderConfig {
 
 class FlightRecorder {
  public:
-  FlightRecorder(Simulator& sim, trace::TraceRecorder* ring, FlightRecorderConfig config);
+  FlightRecorder(trace::TraceRecorder* ring, FlightRecorderConfig config);
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  // -- wiring (construction time, not checkpointed) -------------------------
-  /// Capacity multiplier D(t) of the target tier.
-  void set_capacity_probe(std::function<double()> probe) { capacity_probe_ = std::move(probe); }
-  /// Queue depth (waiting + blocked) of tier `tier`.
-  void set_queue_depth_probe(std::size_t tier, std::function<int()> probe);
-  /// Cumulative rejected-request count of tier `tier`.
-  void set_rejected_probe(std::size_t tier, std::function<std::int64_t()> probe);
-  /// Retransmissions scheduled but not yet fired (client RTO backlog).
-  void set_rto_backlog_probe(std::function<int()> probe) {
-    rto_backlog_probe_ = std::move(probe);
-  }
-
-  /// Starts the periodic tick; the first frame closes one resolution later.
-  void start();
-  void stop();
-  bool running() const { return task_ != nullptr; }
-
   // -- hooks ----------------------------------------------------------------
+  /// Closes the timeline window ending at `sample.now` (one resolution
+  /// long): pushes its frame — queue depths, per-tier drops, D(t), RTO
+  /// backlog, VLRT completions — runs the dip/overflow detectors, flushes
+  /// pins on cadence and closes a quiet incident. Call once per resolution.
+  void tick(const SampleFrame& sample);
+
   /// Client completion hook (the testbed adapts the workload observer to
   /// this). Feeds the client latency sketch and, for VLRT completions,
   /// opens/extends the incident window and pins the request's ring spans.
@@ -117,7 +109,7 @@ class FlightRecorder {
                      bool post_warmup);
 
   /// Closes any open incident at end of run. Call once before reading
-  /// incidents(); safe without a preceding start().
+  /// incidents(); safe before any tick().
   void finalize();
 
   // -- telemetry ------------------------------------------------------------
@@ -193,21 +185,17 @@ class FlightRecorder {
     std::int64_t next_id = 0;
     double last_capacity = 1.0;
     bool in_dip = false;
-    std::array<std::int64_t, kTimelineMaxTiers> last_rejected{};
     std::uint32_t vlrt_in_window = 0;
     std::uint32_t tick_seq = 0;
     std::int64_t pinned_events_total = 0;
     std::int64_t affected_requests_total = 0;
     OpenIncident open;
-    bool has_task = false;
-    PeriodicTask::Snapshot task;
   };
 
   void capture(Snapshot& out) const;
   void restore(const Snapshot& snap);
 
  private:
-  void tick();
   /// Opens the incident window (or extends the open one) at `now`; the
   /// window is stretched back to cover `span_begin`.
   void note_activity(IncidentTrigger trigger, SimTime span_begin, SimTime now);
@@ -222,7 +210,6 @@ class FlightRecorder {
   /// completion path stays allocation-free.
   static constexpr std::size_t kMaxPendingPins = 1024;
 
-  Simulator& sim_;
   trace::TraceRecorder* ring_;
   FlightRecorderConfig config_;
 
@@ -230,19 +217,11 @@ class FlightRecorder {
   std::array<QuantileSketch, kTimelineMaxTiers> tier_residence_{};
   Timeline timeline_;
 
-  std::function<double()> capacity_probe_;
-  std::array<std::function<int()>, kTimelineMaxTiers> queue_depth_probes_;
-  std::array<std::function<std::int64_t()>, kTimelineMaxTiers> rejected_probes_;
-  std::function<int()> rto_backlog_probe_;
-
-  std::unique_ptr<PeriodicTask> task_;
-
   // Tick-to-tick cursors.
   double last_capacity_ = 1.0;
   bool in_dip_ = false;
-  std::array<std::int64_t, kTimelineMaxTiers> last_rejected_{};
   std::uint32_t vlrt_in_window_ = 0;
-  /// Ticks since start; drives the pin-flush cadence (checkpointed, so a
+  /// Ticks so far; drives the pin-flush cadence (checkpointed, so a
   /// replay flushes on the same ticks).
   std::uint32_t tick_seq_ = 0;
 

@@ -15,12 +15,13 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/sample_frame.h"
 #include "common/time.h"
 
 namespace memca::flightrec {
 
-/// Tiers a frame can carry; the testbed has 3, one spare for ablations.
-inline constexpr std::size_t kTimelineMaxTiers = 4;
+/// Tiers a frame can carry: as many as a SampleFrame does.
+inline constexpr std::size_t kTimelineMaxTiers = kSampleFrameMaxTiers;
 
 struct TimelineFrame {
   /// Window start (the previous tick); the window closes at start + resolution.

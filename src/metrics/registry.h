@@ -14,10 +14,11 @@
 //    registries mergeable into a bit-identical whole regardless of how many
 //    worker threads executed the sweep.
 //  * Sim-time series. scrape(now) appends every counter/gauge/probe value
-//    to a per-instrument TimeSeries (the Scraper drives this off a
-//    PeriodicTask), turning cumulative counters into rate-analyzable series
-//    and gauges into the utilization/queue-length traces the paper's
-//    stealth analysis needs.
+//    to a per-instrument TimeSeries (the owner's sampling tick drives this;
+//    in the testbed that is the one 50 ms task that also feeds the monitor
+//    series and the flight recorder), turning cumulative counters into
+//    rate-analyzable series and gauges into the utilization/queue-length
+//    traces the paper's stealth analysis needs.
 //
 // Registries are single-threaded like the simulations they observe: one
 // registry per sweep cell, merged after the batch drains.
@@ -117,8 +118,11 @@ class Registry {
   Gauge gauge(std::string_view name, Labels labels = {});
   HistogramHandle histogram(std::string_view name, Labels labels = {});
   /// A probe is a gauge evaluated by scrape(): `fn` is called once per
-  /// scrape and its value recorded. Must be pure w.r.t. sim state (no side
-  /// effects beyond its own closure) to keep runs deterministic.
+  /// scrape and its value recorded. Must be a pure read — no side effects,
+  /// not even on its own closure — so a scrape never changes what the next
+  /// one sees and runs stay deterministic. Windowed values (utilization,
+  /// per-window deltas) belong to the sampler that owns the window; the
+  /// probe just returns its result.
   void probe(std::string_view name, Labels labels, std::function<double()> fn);
 
   /// Appends the current value of every counter, gauge and probe to its

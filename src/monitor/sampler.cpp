@@ -6,58 +6,37 @@
 
 namespace memca::monitor {
 
-GaugeSampler::GaugeSampler(Simulator& sim, std::function<double()> gauge, SimTime period)
-    : sim_(sim), gauge_(std::move(gauge)), period_(period) {
-  MEMCA_CHECK_MSG(static_cast<bool>(gauge_), "GaugeSampler needs a gauge callback");
+double UtilizationWindow::close(double integral, int capacity, SimTime period) {
+  const double delta = integral - last_;
+  last_ = integral;
+  const double denom = static_cast<double>(capacity) * static_cast<double>(period);
+  return std::clamp(delta / denom, 0.0, 1.0);
+}
+
+TierSampler::TierSampler(const queueing::NTierSystem& system, SimTime period)
+    : system_(system), period_(period) {
+  MEMCA_CHECK_MSG(system_.num_tiers() <= kSampleFrameMaxTiers,
+                  "sample frames carry at most kSampleFrameMaxTiers tiers");
   MEMCA_CHECK_MSG(period_ > 0, "sampling period must be positive");
 }
 
-void GaugeSampler::start() {
-  MEMCA_CHECK_MSG(task_ == nullptr, "sampler already started");
-  task_ = std::make_unique<PeriodicTask>(sim_, period_,
-                                         [this] { series_.append(sim_.now(), gauge_()); });
+void TierSampler::arm() {
+  for (std::size_t i = 0; i < system_.num_tiers(); ++i) {
+    const queueing::TierServer& tier = system_.tier(i);
+    busy_[i].reset(tier.busy_worker_time_us());
+    rejected_[i] = tier.rejected();
+  }
 }
 
-void GaugeSampler::stop() {
-  if (task_) task_->stop();
-}
-
-UtilizationSampler::UtilizationSampler(Simulator& sim, std::function<double()> busy_time_us,
-                                       int capacity, SimTime period)
-    : UtilizationSampler(sim, std::move(busy_time_us),
-                         std::function<int()>([capacity] { return capacity; }), period) {
-  MEMCA_CHECK_MSG(capacity >= 1, "capacity must be at least 1");
-}
-
-UtilizationSampler::UtilizationSampler(Simulator& sim, std::function<double()> busy_time_us,
-                                       std::function<int()> capacity, SimTime period)
-    : sim_(sim),
-      busy_time_us_(std::move(busy_time_us)),
-      capacity_(std::move(capacity)),
-      period_(period) {
-  MEMCA_CHECK_MSG(static_cast<bool>(busy_time_us_), "UtilizationSampler needs an integral");
-  MEMCA_CHECK_MSG(static_cast<bool>(capacity_), "UtilizationSampler needs a capacity");
-  MEMCA_CHECK_MSG(period_ > 0, "sampling period must be positive");
-}
-
-void UtilizationSampler::start() {
-  MEMCA_CHECK_MSG(task_ == nullptr, "sampler already started");
-  last_integral_ = busy_time_us_();
-  task_ = std::make_unique<PeriodicTask>(sim_, period_, [this] { sample(); });
-}
-
-void UtilizationSampler::stop() {
-  if (task_) task_->stop();
-}
-
-void UtilizationSampler::sample() {
-  const double integral = busy_time_us_();
-  const double delta = integral - last_integral_;
-  last_integral_ = integral;
-  const double denom = static_cast<double>(capacity_()) * static_cast<double>(period_);
-  const double util = std::clamp(delta / denom, 0.0, 1.0);
-  // Timestamp at the window start, matching how monitors report intervals.
-  series_.append(sim_.now() - period_, util);
+void TierSampler::read(SampleFrame& frame) {
+  for (std::size_t i = 0; i < system_.num_tiers(); ++i) {
+    const queueing::TierServer& tier = system_.tier(i);
+    frame.depth[i] = tier.resident();
+    frame.utilization[i] = busy_[i].close(tier.busy_worker_time_us(), tier.workers(), period_);
+    const std::int64_t rejected = tier.rejected();
+    frame.rejected[i] = rejected - rejected_[i];
+    rejected_[i] = rejected;
+  }
 }
 
 }  // namespace memca::monitor

@@ -1,116 +1,78 @@
-// Periodic metric samplers.
+// Per-tier arithmetic of the sampling plane.
 //
-// Two flavours, matching how real monitors work:
-//  * GaugeSampler reads an instantaneous value each period (queue length,
-//    memory bandwidth) — what `sar -q`-style tools report.
-//  * UtilizationSampler differences a busy-time integral each period and
-//    normalises by capacity, yielding the exact average utilization over
-//    the window — what /proc/stat-based CPU monitors report. Sampling the
-//    same integral at 50 ms vs 1 min granularity is how the paper's Fig. 10
-//    shows the millibottlenecks disappearing from coarse monitoring.
+// The testbed samples the system once per tick (see common/sample_frame.h).
+// TierSampler is the per-tier part of that read, kept apart from the clock
+// that drives it so its arithmetic stays unit-testable:
+//  * queue depth is an instantaneous gauge — what `sar -q`-style tools
+//    report;
+//  * utilization differences each tier's busy-time integral over the
+//    window and normalises by capacity (UtilizationWindow), yielding the
+//    exact average over the window — what /proc/stat-based CPU monitors
+//    report. Averaging the same 50 ms windows up to 1 s or 1 min is how the
+//    paper's Fig. 10 shows the millibottlenecks disappearing from coarse
+//    monitoring;
+//  * rejections are a cumulative counter differenced into per-window drops.
 #pragma once
 
-#include <functional>
-#include <memory>
+#include <array>
+#include <cstdint>
 
-#include "common/check.h"
-#include "common/timeseries.h"
-#include "sim/simulator.h"
+#include "common/sample_frame.h"
+#include "common/time.h"
+#include "queueing/ntier.h"
 
 namespace memca::monitor {
 
-class GaugeSampler {
+/// Windowed utilization of a monotonically non-decreasing busy-time
+/// integral (resource-microseconds).
+class UtilizationWindow {
  public:
-  /// Samples `gauge` every `period`, starting one period after start().
-  GaugeSampler(Simulator& sim, std::function<double()> gauge, SimTime period);
+  /// Starts the next window at `integral`.
+  void reset(double integral) { last_ = integral; }
 
-  void start();
-  void stop();
-  const TimeSeries& series() const { return series_; }
-  SimTime period() const { return period_; }
-
-  /// Checkpoint: the periodic task's pending tick plus the series length
-  /// (append-only, so restore is a truncation). start()/stop() between a
-  /// capture and its restore is not supported — the task object must still
-  /// exist iff it existed at capture.
-  struct Snapshot {
-    bool has_task = false;
-    PeriodicTask::Snapshot task;
-    std::size_t series_size = 0;
-  };
-
-  void capture(Snapshot& out) const {
-    out.has_task = task_ != nullptr;
-    if (task_ != nullptr) task_->capture(out.task);
-    out.series_size = series_.size();
-  }
-
-  void restore(const Snapshot& snap) {
-    MEMCA_CHECK(snap.has_task == (task_ != nullptr));
-    if (task_ != nullptr) task_->restore(snap.task);
-    series_.truncate(snap.series_size);
-  }
+  /// Closes the window at `integral`: returns the integral's delta over
+  /// (capacity × period), clamped to [0, 1], and starts the next window
+  /// there. `capacity` is read per window because elastic scale-out changes
+  /// a tier's worker count mid-run.
+  double close(double integral, int capacity, SimTime period);
 
  private:
-  Simulator& sim_;
-  std::function<double()> gauge_;
-  SimTime period_;
-  std::unique_ptr<PeriodicTask> task_;
-  TimeSeries series_;
+  double last_ = 0.0;
 };
 
-class UtilizationSampler {
+class TierSampler {
  public:
-  /// `busy_time_us` returns a monotonically non-decreasing busy-time
-  /// integral in resource-microseconds; `capacity` is the number of
-  /// resource units (workers/cores), so each window's sample is
-  /// (delta integral) / (capacity * period) in [0, 1].
-  UtilizationSampler(Simulator& sim, std::function<double()> busy_time_us, int capacity,
-                     SimTime period);
+  /// Samples every tier of `system` (at most kSampleFrameMaxTiers) over
+  /// windows of `period`.
+  TierSampler(const queueing::NTierSystem& system, SimTime period);
 
-  /// Same, with a dynamic capacity (elastic scale-out changes the worker
-  /// count mid-run; the sampler reads it at each window boundary).
-  UtilizationSampler(Simulator& sim, std::function<double()> busy_time_us,
-                     std::function<int()> capacity, SimTime period);
+  /// Starts the first window now: re-bases every differencing cursor on the
+  /// tiers' current busy integral and rejected count.
+  void arm();
 
-  void start();
-  void stop();
-  const TimeSeries& series() const { return series_; }
-  SimTime period() const { return period_; }
+  /// Closes the current window: fills `frame.depth`, `frame.utilization`
+  /// and `frame.rejected` for every tier and starts the next window.
+  void read(SampleFrame& frame);
 
-  /// Checkpoint: pending tick, the differencing cursor, and the series
-  /// length. Same task-presence rule as GaugeSampler::Snapshot.
+  /// Checkpoint: the differencing cursors are the whole state.
   struct Snapshot {
-    bool has_task = false;
-    PeriodicTask::Snapshot task;
-    double last_integral = 0.0;
-    std::size_t series_size = 0;
+    std::array<UtilizationWindow, kSampleFrameMaxTiers> busy{};
+    std::array<std::int64_t, kSampleFrameMaxTiers> rejected{};
   };
-
   void capture(Snapshot& out) const {
-    out.has_task = task_ != nullptr;
-    if (task_ != nullptr) task_->capture(out.task);
-    out.last_integral = last_integral_;
-    out.series_size = series_.size();
+    out.busy = busy_;
+    out.rejected = rejected_;
   }
-
   void restore(const Snapshot& snap) {
-    MEMCA_CHECK(snap.has_task == (task_ != nullptr));
-    if (task_ != nullptr) task_->restore(snap.task);
-    last_integral_ = snap.last_integral;
-    series_.truncate(snap.series_size);
+    busy_ = snap.busy;
+    rejected_ = snap.rejected;
   }
 
  private:
-  void sample();
-
-  Simulator& sim_;
-  std::function<double()> busy_time_us_;
-  std::function<int()> capacity_;
+  const queueing::NTierSystem& system_;
   SimTime period_;
-  std::unique_ptr<PeriodicTask> task_;
-  double last_integral_ = 0.0;
-  TimeSeries series_;
+  std::array<UtilizationWindow, kSampleFrameMaxTiers> busy_{};
+  std::array<std::int64_t, kSampleFrameMaxTiers> rejected_{};
 };
 
 }  // namespace memca::monitor

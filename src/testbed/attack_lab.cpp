@@ -53,7 +53,7 @@ AttackLabResult measure_cell(RubbosTestbed& bed, const AttackLabConfig& config, 
   result.drop_fraction =
       attempts > 0 ? static_cast<double>(result.drops) / attempts : 0.0;
 
-  const TimeSeries& cpu = bed.mysql_cpu().series();
+  const TimeSeries& cpu = bed.target_cpu();
   result.cpu_mean = cpu.mean();
   result.cpu_max_50ms = cpu.max();
   result.cpu_max_1s = cpu.resample_mean(sec(std::int64_t{1})).max();
@@ -69,7 +69,7 @@ AttackLabResult measure_cell(RubbosTestbed& bed, const AttackLabConfig& config, 
     if (s.value > 0.98) {
       ++run_len;
     } else if (run_len > 0) {
-      sat_sum += static_cast<double>(run_len) * to_seconds(bed.config().fine_granularity);
+      sat_sum += static_cast<double>(run_len) * to_seconds(bed.config().metrics_resolution);
       ++sat_runs;
       run_len = 0;
     }
@@ -151,8 +151,10 @@ void put(std::string& key, const queueing::TierConfig& tier) {
 }
 
 /// Serializes every field that shapes the world before the attack starts:
-/// the full TestbedConfig plus the warm-up length. Cells agreeing on this
-/// key are interchangeable up to the measurement window.
+/// the full TestbedConfig (less the flight-recorder resolution and depth,
+/// which the testbed overrides from metrics_resolution and its tier count)
+/// plus the warm-up length. Cells agreeing on this key are interchangeable
+/// up to the measurement window.
 std::string prefix_key(const AttackLabConfig& config) {
   const TestbedConfig& bed = config.testbed;
   std::string key;
@@ -175,7 +177,6 @@ std::string prefix_key(const AttackLabConfig& config) {
   put(key, bed.neighbor_profile.off_mean);
   put(key, bed.neighbor_profile.demand_mean_gbps);
   put(key, bed.neighbor_profile.demand_cv);
-  put(key, bed.fine_granularity);
   put(key, bed.stats_warmup);
   put(key, static_cast<std::int64_t>(bed.seed));
   put(key, std::int64_t{bed.trace});
@@ -197,12 +198,10 @@ std::string prefix_key(const AttackLabConfig& config) {
   put(key, std::int64_t{bed.oltp.backoff_cap});
   put(key, std::int64_t{bed.flightrec});
   put(key, static_cast<std::int64_t>(bed.flightrec_ring_events));
-  put(key, bed.flightrec_config.resolution);
   put(key, static_cast<std::int64_t>(bed.flightrec_config.timeline_frames));
   put(key, bed.flightrec_config.vlrt_threshold);
   put(key, bed.flightrec_config.dip_threshold);
   put(key, bed.flightrec_config.quiet_close);
-  put(key, static_cast<std::int64_t>(bed.flightrec_config.depth));
   put(key, static_cast<std::int64_t>(bed.flightrec_config.residence_decimate_shift));
   put(key, static_cast<std::int64_t>(bed.flightrec_config.client_decimate_shift));
   put(key, static_cast<std::int64_t>(bed.flightrec_config.pin_flush_period));

@@ -1,6 +1,5 @@
 #include "testbed/rubbos_testbed.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <string_view>
 
@@ -134,10 +133,6 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
   if (config_.metrics) {
     registry_ = std::make_unique<metrics::Registry>();
     log_counter_ = std::make_unique<ScopedLogCounter>();
-    scraper_ = std::make_unique<metrics::Scraper>(
-        sim_, *registry_, metrics::ScraperConfig{config_.metrics_resolution});
-    // Sized once, before the probes capture element addresses.
-    util_probe_last_.assign(system_->num_tiers(), 0.0);
     for (std::size_t i = 0; i < system_->num_tiers(); ++i) {
       queueing::TierServer& tier = system_->tier(i);
       const std::string& name = tier.name();
@@ -151,22 +146,13 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
       handles.completed = registry_->counter(metrics::names::kTierRequestsTotal,
                                              {{"tier", name}, {"event", "completed"}});
       tier.set_metrics(handles);
+      // The tier probes return this tick's frame: the scrape runs inside
+      // sample(), right after the frame is read. Utilization samples are
+      // stamped at the scrape instant, i.e. the window *end*.
       registry_->probe(metrics::names::kTierQueueLength, {{"tier", name}},
-                       [&tier] { return static_cast<double>(tier.resident()); });
-      // Windowed utilization: busy-integral delta over the scrape window,
-      // normalised by the worker count read at scrape time (elastic
-      // scale-out changes it mid-run). Samples are stamped at the scrape
-      // instant, i.e. the window *end*.
-      registry_->probe(
-          metrics::names::kTierUtilization, {{"tier", name}},
-          [&tier, period = static_cast<double>(config_.metrics_resolution),
-           last = &util_probe_last_[i]] {
-            const double integral = tier.busy_worker_time_us();
-            const double delta = integral - *last;
-            *last = integral;
-            const double denom = static_cast<double>(tier.workers()) * period;
-            return std::clamp(delta / denom, 0.0, 1.0);
-          });
+                       [this, i] { return static_cast<double>(frame_.depth[i]); });
+      registry_->probe(metrics::names::kTierUtilization, {{"tier", name}},
+                       [this, i] { return frame_.utilization[i]; });
     }
     if (oltp_tier_ != nullptr) {
       oltp::OltpMetrics handles;
@@ -195,7 +181,7 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
       [this](double multiplier) { target_tier().set_speed_multiplier(multiplier); });
   if (registry_ != nullptr) {
     registry_->probe(metrics::names::kCapacityMultiplier, {},
-                     [this] { return coupling_->capacity_multiplier(); });
+                     [this] { return frame_.capacity; });
   }
 
   router_ = std::make_unique<workload::RequestRouter>(*system_);
@@ -226,42 +212,45 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
 
   if (config_.flightrec) {
     flightrec::FlightRecorderConfig fc = config_.flightrec_config;
-    fc.resolution = config_.fine_granularity;
+    fc.resolution = config_.metrics_resolution;
     fc.depth = system_->num_tiers();
-    flight_ = std::make_unique<flightrec::FlightRecorder>(sim_, trace_.get(), fc);
-    flight_->set_capacity_probe([this] { return coupling_->capacity_multiplier(); });
+    flight_ = std::make_unique<flightrec::FlightRecorder>(trace_.get(), fc);
     for (std::size_t i = 0; i < system_->num_tiers(); ++i) {
-      queueing::TierServer& tier = system_->tier(i);
-      flight_->set_queue_depth_probe(i, [&tier] { return tier.resident(); });
-      flight_->set_rejected_probe(i, [&tier] { return tier.rejected(); });
-      tier.set_residence_sketch(flight_->tier_residence_sketch(i));
+      system_->tier(i).set_residence_sketch(flight_->tier_residence_sketch(i));
     }
-    flight_->set_rto_backlog_probe([this] { return clients_->rto_backlog(); });
     clients_->set_completion_observer([this](const workload::CompletionEvent& ev) {
       flight_->on_completion(ev.now, ev.first_sent, ev.user, ev.rt, ev.post_warmup);
     });
   }
 
-  target_cpu_ = std::make_unique<monitor::UtilizationSampler>(
-      sim_, [this] { return target_tier().busy_worker_time_us(); },
-      std::function<int()>([this] { return target_tier().workers(); }),
-      config_.fine_granularity);
-  for (std::size_t i = 0; i < system_->num_tiers(); ++i) {
-    queue_gauges_.push_back(std::make_unique<monitor::GaugeSampler>(
-        sim_, [this, i] { return static_cast<double>(system_->tier(i).resident()); },
-        config_.fine_granularity));
-  }
+  tier_sampler_ = std::make_unique<monitor::TierSampler>(*system_, config_.metrics_resolution);
+  queue_series_.resize(system_->num_tiers());
 }
 
 void RubbosTestbed::start() {
   MEMCA_CHECK_MSG(!started_, "testbed already started");
   started_ = true;
   clients_->start();
-  target_cpu_->start();
-  for (auto& gauge : queue_gauges_) gauge->start();
+  tier_sampler_->arm();
+  sampling_task_ =
+      std::make_unique<PeriodicTask>(sim_, config_.metrics_resolution, [this] { sample(); });
   for (auto& neighbor : neighbors_) neighbor->start();
-  if (scraper_ != nullptr) scraper_->start();
-  if (flight_ != nullptr) flight_->start();
+}
+
+void RubbosTestbed::sample() {
+  frame_.now = sim_.now();
+  tier_sampler_->read(frame_);
+  frame_.capacity = coupling_->capacity_multiplier();
+  frame_.rto_backlog = clients_->rto_backlog();
+  // Utilization is stamped at its window start, the way interval monitors
+  // report it; queue depth is an instant reading.
+  target_cpu_.append(frame_.now - config_.metrics_resolution,
+                     frame_.utilization[static_cast<std::size_t>(config_.target_tier)]);
+  for (std::size_t i = 0; i < queue_series_.size(); ++i) {
+    queue_series_[i].append(frame_.now, static_cast<double>(frame_.depth[i]));
+  }
+  if (registry_ != nullptr) registry_->scrape(frame_.now);
+  if (flight_ != nullptr) flight_->tick(frame_);
 }
 
 RubbosTestbed::~RubbosTestbed() {
@@ -278,9 +267,9 @@ cloud::Host& RubbosTestbed::host(std::size_t tier) {
   return *hosts_[tier];
 }
 
-monitor::GaugeSampler& RubbosTestbed::queue_gauge(std::size_t tier) {
-  MEMCA_CHECK(tier < queue_gauges_.size());
-  return *queue_gauges_[tier];
+const TimeSeries& RubbosTestbed::queue_series(std::size_t tier) const {
+  MEMCA_CHECK(tier < queue_series_.size());
+  return queue_series_[tier];
 }
 
 std::unique_ptr<core::MemcaAttack> RubbosTestbed::make_attack(core::MemcaConfig config) {
@@ -374,11 +363,11 @@ void RubbosTestbed::finalize_metrics(const core::MemcaAttack* attack) {
 }
 
 std::unique_ptr<metrics::Registry> RubbosTestbed::release_metrics() {
-  if (scraper_ != nullptr) scraper_->stop();
   return std::move(registry_);
 }
 
 void RubbosTestbed::snapshot() {
+  MEMCA_CHECK_MSG(started_, "snapshot() needs start(): it checkpoints the sampling task");
   if (world_snapshot_ == nullptr) {
     world_snapshot_ = std::make_unique<snapshot::WorldSnapshot>();
     snapshot::WorldSnapshot& ws = *world_snapshot_;
@@ -391,7 +380,6 @@ void RubbosTestbed::snapshot() {
     if (trace_ != nullptr) ws.attach(*trace_);
     if (flight_ != nullptr) ws.attach(*flight_);
     if (registry_ != nullptr) ws.attach(*registry_);
-    if (scraper_ != nullptr) ws.attach(*scraper_);
     if (log_counter_ != nullptr) ws.attach(*log_counter_);
     ws.attach(*system_);
     // NTierSystem captures every tier's base state; the OLTP extension
@@ -399,10 +387,10 @@ void RubbosTestbed::snapshot() {
     if (oltp_tier_ != nullptr) ws.attach(*oltp_tier_);
     ws.attach(*router_);
     ws.attach(*clients_);
-    ws.attach(*target_cpu_);
-    for (auto& gauge : queue_gauges_) ws.attach(*gauge);
-    ws.attach_value(util_probe_last_);
-    ws.attach_value(started_);
+    ws.attach(*sampling_task_);
+    ws.attach(*tier_sampler_);
+    ws.attach(target_cpu_);
+    for (TimeSeries& series : queue_series_) ws.attach(series);
   }
   world_snapshot_->capture();
 }

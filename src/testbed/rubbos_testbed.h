@@ -4,9 +4,15 @@
 //   additionally carries the co-located adversary VM and, optionally,
 //   noisy-neighbor tenant VMs. A CrossResourceModel couples that host's
 //   memory contention into the target tier's service speed. 3500
-//   closed-loop RUBBoS users drive the 3-tier system; fine-grained (50 ms)
-//   monitors sample the target tier's CPU utilization and per-tier queue
-//   lengths.
+//   closed-loop RUBBoS users drive the 3-tier system.
+//
+// One sampling plane observes it: a single testbed-owned PeriodicTask
+// (50 ms by default) reads every signal once per tick into a SampleFrame —
+// per-tier queue depth, utilization and rejections, D(t) and the client
+// RTO backlog — appends the target-CPU and per-tier queue series, scrapes
+// the metrics registry (whose tier probes return the frame's values) and
+// ticks the flight recorder with the same frame. One read per tick means
+// the fine monitor, the registry and the incident timeline always agree.
 //
 // Used by the examples, the figure benches and the integration tests, so
 // every consumer sees the same calibration.
@@ -20,11 +26,12 @@
 #include "cloud/contention.h"
 #include "cloud/host.h"
 #include "common/log.h"
+#include "common/sample_frame.h"
+#include "common/timeseries.h"
 #include "flightrec/flight_recorder.h"
 #include "core/analytic_model.h"
 #include "core/memca.h"
 #include "metrics/registry.h"
-#include "metrics/scraper.h"
 #include "monitor/sampler.h"
 #include "oltp/oltp_tier.h"
 #include "queueing/ntier.h"
@@ -97,8 +104,6 @@ struct TestbedConfig {
   /// ON-OFF noisy memory workload.
   int background_neighbors = 0;
   cloud::NoisyNeighborConfig neighbor_profile;
-  /// Fine monitoring granularity (the paper's 50 ms tooling).
-  SimTime fine_granularity = msec(50);
   /// Statistics warm-up: client RTs before this are discarded.
   SimTime stats_warmup = sec(std::int64_t{10});
   std::uint64_t seed = 42;
@@ -111,7 +116,9 @@ struct TestbedConfig {
   /// run: request counters, per-tier queue-length and utilization series,
   /// capacity-multiplier series, client latency histogram. Off by default.
   bool metrics = false;
-  /// Scrape resolution when metrics are on (the paper's 50 ms tooling).
+  /// Sampling-plane period (the paper's fine-grained 50 ms tooling): the
+  /// target-CPU and queue series, the registry scrape and the flight
+  /// recorder's timeline all tick at it.
   SimTime metrics_resolution = msec(50);
   /// Service discipline of the target tier. kFifo leaves the paper's model
   /// (and its byte-exact streams) untouched; kOltp swaps in the
@@ -130,7 +137,7 @@ struct TestbedConfig {
   /// multi-RTO VLRT request end to end.
   std::size_t flightrec_ring_events = std::size_t{1} << 16;
   /// Detector thresholds and budgets. resolution and depth are overridden
-  /// from fine_granularity and the tier count at construction.
+  /// from metrics_resolution and the tier count at construction.
   flightrec::FlightRecorderConfig flightrec_config;
 };
 
@@ -141,8 +148,8 @@ class RubbosTestbed {
   RubbosTestbed(const RubbosTestbed&) = delete;
   RubbosTestbed& operator=(const RubbosTestbed&) = delete;
 
-  /// Starts clients, monitors and background neighbors. Call once, then run
-  /// the simulator.
+  /// Starts clients, the sampling plane and background neighbors. Call
+  /// once, then run the simulator.
   void start();
 
   Simulator& sim() { return sim_; }
@@ -169,11 +176,12 @@ class RubbosTestbed {
   cloud::Host& mysql_host() { return target_host(); }
   cloud::VmId mysql_vm() const { return target_vm_; }
 
-  /// Fine-grained target-tier CPU utilization (50 ms windows).
-  monitor::UtilizationSampler& mysql_cpu() { return *target_cpu_; }
-  monitor::UtilizationSampler& target_cpu() { return *target_cpu_; }
-  /// Fine-grained queue-length gauges, one per tier (front first).
-  monitor::GaugeSampler& queue_gauge(std::size_t tier);
+  /// Fine-grained target-tier CPU utilization, one sample per tick, each
+  /// stamped at its window start (how interval monitors report).
+  const TimeSeries& target_cpu() const { return target_cpu_; }
+  /// Fine-grained queue length of tier `tier` (front first), one sample per
+  /// tick, stamped at the tick.
+  const TimeSeries& queue_series(std::size_t tier) const;
 
   /// Builds a MemCA attack against this testbed (adversary VM + router
   /// already wired). Caller owns it.
@@ -193,16 +201,17 @@ class RubbosTestbed {
   trace::TraceRecorder* trace() { return trace_.get(); }
   const trace::TraceRecorder* trace() const { return trace_.get(); }
 
-  /// The flight recorder, nullptr unless config.flightrec is set. Ticking
-  /// from start() on; call finalize_metrics() (or flight()->finalize())
-  /// after the run to close a still-open incident window.
+  /// The flight recorder, nullptr unless config.flightrec is set. Ticked by
+  /// the sampling plane from start() on; call finalize_metrics() (or
+  /// flight()->finalize()) after the run to close a still-open incident
+  /// window.
   flightrec::FlightRecorder* flight() { return flight_.get(); }
   const flightrec::FlightRecorder* flight() const { return flight_.get(); }
   /// Display names of the three tiers, front first (exporter input).
   std::vector<std::string> tier_names() const;
 
-  /// The metrics registry, nullptr unless config.metrics is set. Scraped at
-  /// config.metrics_resolution from start() on.
+  /// The metrics registry, nullptr unless config.metrics is set. Scraped by
+  /// the sampling plane every config.metrics_resolution from start() on.
   metrics::Registry* registry() { return registry_.get(); }
   const metrics::Registry* registry() const { return registry_.get(); }
   /// Syncs end-of-run totals into the registry — engine self-profile
@@ -212,13 +221,14 @@ class RubbosTestbed {
   /// a run report or merging registries. No-op without metrics.
   void finalize_metrics(const core::MemcaAttack* attack = nullptr);
   /// Hands the registry to the caller (e.g. a sweep-cell result that must
-  /// outlive the testbed). The scraper is stopped first. Null when metrics
+  /// outlive the testbed); later ticks skip the scrape. Null when metrics
   /// were off or already released.
   std::unique_ptr<metrics::Registry> release_metrics();
 
   /// Takes (or moves forward) an in-place checkpoint of the entire world:
-  /// simulator event state, request pool, tiers, clients, hosts, samplers,
-  /// trace and metrics. Typically called after start() + a warm-up run.
+  /// simulator event state, request pool, tiers, clients, hosts, the
+  /// sampling plane, trace and metrics. Call after start(), typically after
+  /// a warm-up run.
   /// Objects created *after* the snapshot (an attack from make_attack, late
   /// probes/observers) must be destroyed before rolling back; their
   /// registrations are truncated away by rollback(). Do not release_metrics
@@ -234,6 +244,10 @@ class RubbosTestbed {
   }
 
  private:
+  /// One sampling-plane tick: reads frame_, appends the series, scrapes the
+  /// registry and ticks the flight recorder.
+  void sample();
+
   TestbedConfig config_;
   Simulator sim_;
   Rng root_rng_;
@@ -248,7 +262,6 @@ class RubbosTestbed {
   std::unique_ptr<trace::TraceRecorder> trace_;
   std::unique_ptr<flightrec::FlightRecorder> flight_;
   std::unique_ptr<metrics::Registry> registry_;
-  std::unique_ptr<metrics::Scraper> scraper_;
   /// Tallies warn/error lines this run emits (the testbed is built and run
   /// on one thread, so the scope sees exactly this cell's lines).
   std::unique_ptr<ScopedLogCounter> log_counter_;
@@ -258,12 +271,15 @@ class RubbosTestbed {
   std::unique_ptr<workload::RequestRouter> router_;
   std::unique_ptr<workload::ClosedLoopClients> clients_;
 
-  std::unique_ptr<monitor::UtilizationSampler> target_cpu_;
-  std::vector<std::unique_ptr<monitor::GaugeSampler>> queue_gauges_;
-  /// Per-tier differencing cursor of the utilization probes (one slot per
-  /// tier, address-stable — the probe closures point into it so the state
-  /// is checkpointable instead of hiding in a mutable lambda capture).
-  std::vector<double> util_probe_last_;
+  /// The sampling plane: one task, armed by start(), runs sample() every
+  /// config.metrics_resolution. frame_ holds the latest tick's reading (the
+  /// registry's tier and capacity probes return its values); every tick
+  /// rewrites it whole, so it needs no checkpoint.
+  std::unique_ptr<monitor::TierSampler> tier_sampler_;
+  SampleFrame frame_;
+  TimeSeries target_cpu_;
+  std::vector<TimeSeries> queue_series_;
+  std::unique_ptr<PeriodicTask> sampling_task_;
   std::unique_ptr<snapshot::WorldSnapshot> world_snapshot_;
   bool started_ = false;
 };

@@ -54,6 +54,7 @@ struct PooledRing {
 constexpr std::size_t kPoolMaxRings = 2;
 thread_local std::array<PooledRing, kPoolMaxRings> ring_pool;
 
+#ifndef MEMCA_TRACE_DISABLED
 std::unique_ptr<TraceEvent[]> take_pooled_ring(std::size_t capacity) {
   for (PooledRing& slot : ring_pool) {
     if (slot.capacity == capacity && slot.buf != nullptr) {
@@ -63,6 +64,7 @@ std::unique_ptr<TraceEvent[]> take_pooled_ring(std::size_t capacity) {
   }
   return std::make_unique_for_overwrite<TraceEvent[]>(capacity);
 }
+#endif
 
 void park_pooled_ring(std::size_t capacity, std::unique_ptr<TraceEvent[]> buf) {
   for (PooledRing& slot : ring_pool) {

@@ -33,7 +33,7 @@ TEST(BruteForceMemoryAttack, CausesMassiveDamageButIsDetectable) {
   EXPECT_GT(bed.clients().response_times().quantile(0.95), sec(std::int64_t{1}));
   // Stealth: none — 1-minute CloudWatch sees sustained saturation.
   const auto decision =
-      monitor::evaluate_autoscaler(bed.mysql_cpu().series(), monitor::AutoScalerConfig{});
+      monitor::evaluate_autoscaler(bed.target_cpu(), monitor::AutoScalerConfig{});
   EXPECT_TRUE(decision.triggered);
 }
 
@@ -58,7 +58,7 @@ TEST(BruteForceMemoryAttack, MemcaEvadesWhereBruteForceIsCaught) {
       memca_attack->start();
     }
     bed.sim().run_for(3 * kMinute);
-    return monitor::evaluate_autoscaler(bed.mysql_cpu().series(),
+    return monitor::evaluate_autoscaler(bed.target_cpu(),
                                         monitor::AutoScalerConfig{})
         .triggered;
   };

@@ -30,23 +30,33 @@ trace::TraceRecorder::Config ring_config(std::size_t capacity) {
   return config;
 }
 
-/// A FlightRecorder over synthetic probes: a settable capacity value and
-/// queue depth, no testbed behind them.
+/// A FlightRecorder over synthetic signals: a settable capacity value,
+/// queue depth, cumulative rejected count and RTO backlog, no testbed behind
+/// them. Its own periodic task samples them into a frame and ticks the
+/// recorder every resolution, the way the testbed's sampling plane does.
 struct Harness {
   Simulator sim;
   trace::TraceRecorder ring{ring_config(1024)};
   double capacity = 1.0;
   int queue_depth = 0;
   std::int64_t rejected = 0;
+  std::int64_t last_rejected = 0;
   int rto_backlog = 0;
   FlightRecorder flight;
+  PeriodicTask task;
 
-  explicit Harness(FlightRecorderConfig config = {}) : flight(sim, &ring, config) {
-    flight.set_capacity_probe([this] { return capacity; });
-    flight.set_queue_depth_probe(0, [this] { return queue_depth; });
-    flight.set_rejected_probe(0, [this] { return rejected; });
-    flight.set_rto_backlog_probe([this] { return rto_backlog; });
-    flight.start();
+  explicit Harness(FlightRecorderConfig config = {})
+      : flight(&ring, config), task(sim, config.resolution, [this] { tick(); }) {}
+
+  void tick() {
+    SampleFrame frame;
+    frame.now = sim.now();
+    frame.depth[0] = queue_depth;
+    frame.rejected[0] = rejected - last_rejected;
+    last_rejected = rejected;
+    frame.capacity = capacity;
+    frame.rto_backlog = rto_backlog;
+    flight.tick(frame);
   }
 };
 
@@ -193,9 +203,11 @@ TEST(FlightRecSteadyStateAllocation, HotPathsAllocateNothing) {
   FlightRecorder::Snapshot flight_snap;
   trace::TraceRecorder::Snapshot ring_snap;
   Simulator::Snapshot sim_snap;
+  PeriodicTask::Snapshot task_snap;
   h.flight.capture(flight_snap);  // capture may allocate; restore must not
   h.ring.capture(ring_snap);
   h.sim.capture(sim_snap);
+  h.task.capture(task_snap);
 
   tests::ScopedAllocationCounter counter;
   for (int i = 0; i < 2000; ++i) {
@@ -205,6 +217,7 @@ TEST(FlightRecSteadyStateAllocation, HotPathsAllocateNothing) {
   h.flight.on_completion(h.sim.now(), sec(std::int64_t{4}), 3, msec(1500), true);
   h.sim.run_for(sec(std::int64_t{1}));  // 20 ticks, incident stays open
   h.sim.restore(sim_snap);
+  h.task.restore(task_snap);
   h.ring.restore(ring_snap);
   h.flight.restore(flight_snap);
   EXPECT_EQ(counter.count(), 0)

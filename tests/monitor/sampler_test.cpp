@@ -1,105 +1,109 @@
+// The sampling plane's per-tier arithmetic: windowed utilization of a
+// busy-time integral (UtilizationWindow) and the per-tier read into a
+// SampleFrame (TierSampler).
 #include "monitor/sampler.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
+#include "common/timeseries.h"
+#include "queueing/test_util.h"
+#include "sim/simulator.h"
+
 namespace memca::monitor {
 namespace {
 
-TEST(GaugeSampler, SamplesAtPeriod) {
-  Simulator sim;
-  double value = 1.0;
-  GaugeSampler sampler(sim, [&] { return value; }, msec(100));
-  sampler.start();
-  sim.run_until(msec(250));
-  ASSERT_EQ(sampler.series().size(), 2u);
-  EXPECT_EQ(sampler.series().samples()[0].time, msec(100));
-  EXPECT_DOUBLE_EQ(sampler.series().samples()[0].value, 1.0);
+/// Closes `windows` consecutive windows of `period` over the synthetic
+/// integral `busy_us(t)`, the first one starting at t = 0, and returns the
+/// utilization series stamped at each window start.
+TimeSeries sample_windows(const std::function<double(SimTime)>& busy_us, int capacity,
+                          SimTime period, int windows) {
+  UtilizationWindow window;
+  window.reset(busy_us(0));
+  TimeSeries series;
+  for (int k = 1; k <= windows; ++k) {
+    const SimTime end = k * period;
+    series.append(end - period, window.close(busy_us(end), capacity, period));
+  }
+  return series;
 }
 
-TEST(GaugeSampler, SeesValueChanges) {
-  Simulator sim;
-  double value = 0.0;
-  GaugeSampler sampler(sim, [&] { return value; }, msec(10));
-  sampler.start();
-  sim.schedule_at(msec(25), [&] { value = 7.0; });
-  sim.run_until(msec(40));
-  const auto& s = sampler.series().samples();
-  ASSERT_EQ(s.size(), 4u);
-  EXPECT_DOUBLE_EQ(s[1].value, 0.0);  // t=20
-  EXPECT_DOUBLE_EQ(s[2].value, 7.0);  // t=30
-}
-
-TEST(GaugeSampler, StopHaltsSampling) {
-  Simulator sim;
-  GaugeSampler sampler(sim, [] { return 1.0; }, msec(10));
-  sampler.start();
-  sim.run_until(msec(50));
-  sampler.stop();
-  const auto n = sampler.series().size();
-  sim.run_until(msec(100));
-  EXPECT_EQ(sampler.series().size(), n);
-}
-
-TEST(UtilizationSampler, ComputesWindowAverages) {
-  Simulator sim;
-  // Synthetic busy-time integral: 1 resource busy from t=0 to t=50ms,
-  // then idle.
-  auto integral = [&]() -> double {
-    return static_cast<double>(std::min(sim.now(), msec(50)));
-  };
-  UtilizationSampler sampler(sim, integral, 1, msec(100));
-  sampler.start();
-  sim.run_until(msec(300));
-  const auto& s = sampler.series().samples();
+TEST(UtilizationWindow, ComputesWindowAverages) {
+  // 1 resource busy from t=0 to t=50ms, then idle.
+  auto busy = [](SimTime t) { return static_cast<double>(std::min(t, msec(50))); };
+  const TimeSeries series = sample_windows(busy, 1, msec(100), 3);
+  const auto& s = series.samples();
   ASSERT_EQ(s.size(), 3u);
   EXPECT_NEAR(s[0].value, 0.5, 1e-9);  // busy half of [0, 100ms)
   EXPECT_NEAR(s[1].value, 0.0, 1e-9);
-  EXPECT_EQ(s[0].time, 0);  // window-start timestamps
+  EXPECT_NEAR(s[2].value, 0.0, 1e-9);
 }
 
-TEST(UtilizationSampler, MultiWorkerNormalisation) {
-  Simulator sim;
-  // 2 workers, both busy the whole time: integral = 2 * now.
-  auto integral = [&]() -> double { return 2.0 * static_cast<double>(sim.now()); };
-  UtilizationSampler sampler(sim, integral, 2, msec(100));
-  sampler.start();
-  sim.run_until(msec(200));
-  for (const Sample& s : sampler.series().samples()) {
+TEST(UtilizationWindow, MultiWorkerNormalisation) {
+  // 2 workers, both busy the whole time: integral = 2 * t.
+  auto busy = [](SimTime t) { return 2.0 * static_cast<double>(t); };
+  for (const Sample& s : sample_windows(busy, 2, msec(100), 2).samples()) {
     EXPECT_NEAR(s.value, 1.0, 1e-9);
   }
 }
 
-TEST(UtilizationSampler, ClampsToOne) {
-  Simulator sim;
-  auto integral = [&]() -> double { return 5.0 * static_cast<double>(sim.now()); };
-  UtilizationSampler sampler(sim, integral, 1, msec(100));
-  sampler.start();
-  sim.run_until(msec(200));
-  for (const Sample& s : sampler.series().samples()) {
+TEST(UtilizationWindow, ClampsToOne) {
+  auto busy = [](SimTime t) { return 5.0 * static_cast<double>(t); };
+  for (const Sample& s : sample_windows(busy, 1, msec(100), 2).samples()) {
     EXPECT_DOUBLE_EQ(s.value, 1.0);
   }
 }
 
-TEST(UtilizationSampler, FineAndCoarseAgreeOnAverage) {
+TEST(UtilizationWindow, FineAndCoarseAgreeOnAverage) {
   // The core sampling-theory fact the paper's stealthiness rests on: mean
   // utilization is granularity-invariant, peaks are not.
-  Simulator sim;
   // ON-OFF busy signal: busy 100 ms out of every 1 s.
-  auto integral = [&]() -> double {
-    const SimTime t = sim.now();
+  auto busy = [](SimTime t) {
     const SimTime full = (t / kSecond) * msec(100);
     const SimTime partial = std::min(t % kSecond, msec(100));
     return static_cast<double>(full + partial);
   };
-  UtilizationSampler fine(sim, integral, 1, msec(50));
-  UtilizationSampler coarse(sim, integral, 1, sec(std::int64_t{1}));
-  fine.start();
-  coarse.start();
-  sim.run_until(sec(std::int64_t{10}));
-  EXPECT_NEAR(fine.series().mean(), 0.1, 0.01);
-  EXPECT_NEAR(coarse.series().mean(), 0.1, 0.01);
-  EXPECT_NEAR(fine.series().max(), 1.0, 1e-9);
-  EXPECT_NEAR(coarse.series().max(), 0.1, 1e-9);
+  const TimeSeries fine = sample_windows(busy, 1, msec(50), 200);
+  const TimeSeries coarse = sample_windows(busy, 1, sec(std::int64_t{1}), 10);
+  EXPECT_NEAR(fine.mean(), 0.1, 0.01);
+  EXPECT_NEAR(coarse.mean(), 0.1, 0.01);
+  EXPECT_NEAR(fine.max(), 1.0, 1e-9);
+  EXPECT_NEAR(coarse.max(), 0.1, 1e-9);
+}
+
+TEST(TierSampler, ReadsDepthUtilizationAndRejectedDeltaPerWindow) {
+  // One tier, 2 threads, 1 worker: of three 100 ms requests sent at t=0 the
+  // third is rejected, the first is served over [0, 100ms) and the second
+  // over [100, 200ms).
+  Simulator sim;
+  queueing::NTierSystem system(sim, {{"solo", 2, 1}});
+  TierSampler sampler(system, msec(150));
+  sampler.arm();
+  for (queueing::Request::Id id = 1; id <= 3; ++id) {
+    system.submit(queueing::test::make_request(system.pool(), id, {100000.0}));
+  }
+  SampleFrame frame;
+
+  sim.run_until(msec(150));
+  sampler.read(frame);
+  EXPECT_EQ(frame.depth[0], 1);
+  EXPECT_DOUBLE_EQ(frame.utilization[0], 1.0);
+  EXPECT_EQ(frame.rejected[0], 1);
+
+  // Busy 50 ms of the [150, 300ms) window; nothing rejected in it. A
+  // checkpoint of the cursors taken at 150 ms replays that same window.
+  TierSampler::Snapshot snap;
+  sampler.capture(snap);
+  sim.run_until(msec(300));
+  for (int replay = 0; replay < 2; ++replay) {
+    sampler.read(frame);
+    EXPECT_EQ(frame.depth[0], 0);
+    EXPECT_NEAR(frame.utilization[0], 1.0 / 3.0, 1e-9) << "replay " << replay;
+    EXPECT_EQ(frame.rejected[0], 0);
+    sampler.restore(snap);
+  }
 }
 
 }  // namespace

@@ -6,8 +6,9 @@
 // paper does).
 #include <gtest/gtest.h>
 
+#include "common/timeseries.h"
 #include "core/analytic_model.h"
-#include "monitor/sampler.h"
+#include "sim/simulator.h"
 #include "testbed/rubbos_testbed.h"
 
 namespace memca::testbed {
@@ -26,10 +27,10 @@ AttackRun run_attack(SimTime burst_length, SimTime interval) {
   bed.start();
 
   // Fine gauge on the front tier to time cross-tier fill-up.
-  monitor::GaugeSampler front_gauge(
-      bed.sim(), [&] { return static_cast<double>(bed.system().tier(0).resident()); },
-      msec(5));
-  front_gauge.start();
+  TimeSeries front_gauge;
+  PeriodicTask front_tick(bed.sim(), msec(5), [&] {
+    front_gauge.append(bed.sim().now(), static_cast<double>(bed.system().tier(0).resident()));
+  });
 
   core::MemcaConfig config;
   config.enable_controller = false;
@@ -50,7 +51,7 @@ AttackRun run_attack(SimTime burst_length, SimTime interval) {
 
   // Mean time from burst start to a full front tier.
   const auto& windows = attack->program().windows();
-  const auto& gauge = front_gauge.series().samples();
+  const auto& gauge = front_gauge.samples();
   double fill_sum = 0.0;
   int fill_count = 0;
   const double full = static_cast<double>(bed.config().apache.threads);
@@ -68,7 +69,7 @@ AttackRun run_attack(SimTime burst_length, SimTime interval) {
   if (fill_count > 0) run.mean_fill_to_full_s = fill_sum / fill_count;
 
   // Mean contiguous MySQL CPU saturation length (the millibottleneck).
-  const auto& cpu = bed.mysql_cpu().series().samples();
+  const auto& cpu = bed.target_cpu().samples();
   double sat_sum = 0.0;
   int sat_runs = 0;
   int run_len = 0;

@@ -21,8 +21,8 @@ TEST(RubbosTestbed, BaselineCalibration) {
   // ~500 req/s with 3500 users at 7 s think time.
   EXPECT_NEAR(bed.clients().throughput(), 500.0, 40.0);
   // MySQL is the bottleneck at moderate utilization (the paper's setup).
-  EXPECT_GT(bed.mysql_cpu().series().mean(), 0.35);
-  EXPECT_LT(bed.mysql_cpu().series().mean(), 0.70);
+  EXPECT_GT(bed.target_cpu().mean(), 0.35);
+  EXPECT_LT(bed.target_cpu().mean(), 0.70);
   // No drops in the unattacked system.
   EXPECT_EQ(bed.clients().dropped_attempts(), 0);
   // Every request responded within ~100 ms (paper Section II-C).
@@ -75,7 +75,7 @@ TEST(RubbosTestbed, QueueGaugesSampleAllTiers) {
   bed.start();
   bed.sim().run_for(sec(std::int64_t{5}));
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_GT(bed.queue_gauge(i).series().size(), 90u);
+    EXPECT_GT(bed.queue_series(i).size(), 90u);
   }
 }
 
