@@ -6,13 +6,30 @@
 // mis-parameterised; the Kalman-filter commander escalates until the damage
 // goal (p95 > 1 s) is met and then holds with the smallest footprint.
 #include <iostream>
+#include <vector>
 
+#include "common/histogram.h"
 #include "common/table.h"
+#include "common/timeseries.h"
 #include "testbed/rubbos_testbed.h"
 
 using namespace memca;
 
 namespace {
+
+/// Width of the time-resolved p95 view (also its sampling period).
+constexpr SimTime kTimelineWindow = sec(std::int64_t{30});
+
+/// p95 of the client response times that completed in (now - window, now].
+SimTime windowed_p95(const TimeSeries& series, SimTime now) {
+  LatencyHistogram window;
+  const std::vector<Sample>& samples = series.samples();
+  for (auto it = samples.rbegin(); it != samples.rend() && it->time > now - kTimelineWindow;
+       ++it) {
+    window.record(static_cast<SimTime>(it->value));
+  }
+  return window.quantile(0.95);
+}
 
 struct RunResult {
   SimTime p95_phase1 = 0;  // before the flash crowd
@@ -24,7 +41,9 @@ struct RunResult {
 };
 
 RunResult run(bool with_controller) {
-  testbed::RubbosTestbed bed;
+  testbed::TestbedConfig bed_config;
+  bed_config.record_response_series = true;  // the windowed p95 timeline reads it
+  testbed::RubbosTestbed bed(bed_config);
   bed.start();
 
   core::MemcaConfig config;
@@ -45,8 +64,9 @@ RunResult run(bool with_controller) {
   bed.sim().schedule_at(2 * kMinute, [&extra] { extra.start(); });
 
   RunResult result;
-  PeriodicTask timeline_sampler(bed.sim(), sec(std::int64_t{30}), [&] {
-    result.p95_timeline.emplace_back(bed.sim().now(), bed.clients().recent_quantile(0.95));
+  PeriodicTask timeline_sampler(bed.sim(), kTimelineWindow, [&] {
+    result.p95_timeline.emplace_back(
+        bed.sim().now(), windowed_p95(bed.clients().response_series(), bed.sim().now()));
   });
 
   bed.sim().run_until(2 * kMinute);

@@ -19,9 +19,8 @@ using namespace memca;
 int main() {
   testbed::TestbedConfig config;
   config.metrics = true;
-  // Always-on flight recorder: the run report's windowed tail statistics
-  // below come from its streaming sketches, not the clients' full
-  // response-time vector.
+  // Always-on flight recorder: the run report's incident counts below come
+  // from it.
   config.flightrec = true;
   testbed::RubbosTestbed bed(config);
   bed.start();
@@ -145,16 +144,11 @@ int main() {
             << Table::num(report.events_per_wall_sec / 1e6, 2) << " M events/s, speedup "
             << Table::num(report.sim_speedup, 0) << "x\n"
             << "wrote fig10_elasticity_stealth.runreport.{json,md}\n";
-  // Tail view from the flight recorder's streaming sketches — O(1) memory,
-  // no client-latency vector behind it — next to the exact quantiles.
-  const SimTime exact_p95 = bed.clients().response_times().quantile(0.95);
-  const SimTime exact_p99 = bed.clients().response_times().quantile(0.99);
-  std::cout << "sketch latency (ms): p50 " << Table::num(report.sketch_p50_us / 1000.0, 0)
-            << ", p95 " << Table::num(report.sketch_p95_us / 1000.0, 0) << " (exact "
-            << Table::num(to_millis(exact_p95), 0) << "), p99 "
-            << Table::num(report.sketch_p99_us / 1000.0, 0) << " (exact "
-            << Table::num(to_millis(exact_p99), 0) << "), p99.9 "
-            << Table::num(report.sketch_p999_us / 1000.0, 0) << "\n"
+  // Tail view from the run report, i.e. the registry's client histogram.
+  std::cout << "client latency (ms): p50 " << Table::num(to_millis(report.latency_p50), 0)
+            << ", p95 " << Table::num(to_millis(report.latency_p95), 0) << ", p99 "
+            << Table::num(to_millis(report.latency_p99), 0) << ", max "
+            << Table::num(to_millis(report.latency_max), 0) << "\n"
             << "flight recorder: " << report.incidents << " incidents, "
             << report.incident_affected_requests << " VLRT requests pinned\n";
   // Saturation is plain at 50 ms; the 1-minute view never approaches the

@@ -39,15 +39,16 @@ int main() {
   bed.flight()->finalize();
 
   const flightrec::FlightRecorder& flight = *bed.flight();
+  const LatencyHistogram& rt = bed.clients().response_times();
   print_banner(std::cout, "Flight-recorder state (45 s attacked run + 5 s quiet)");
   std::cout << "ring: " << bed.trace()->total_recorded() << " events recorded into "
             << bed.trace()->bytes_retained() / 1024 << " KB (wrapped: "
             << (bed.trace()->wrapped() ? "yes" : "no") << ")\n"
-            << "client sketch (" << flight.client_latency().count() << " samples, ms): p50 "
-            << Table::num(flight.client_latency().quantile(0.50) / 1000.0, 0) << ", p95 "
-            << Table::num(flight.client_latency().quantile(0.95) / 1000.0, 0) << ", p99 "
-            << Table::num(flight.client_latency().quantile(0.99) / 1000.0, 0) << ", p99.9 "
-            << Table::num(flight.client_latency().quantile(0.999) / 1000.0, 0) << "\n"
+            << "client latency (" << rt.count() << " samples, ms): p50 "
+            << Table::num(to_millis(rt.quantile(0.50)), 0) << ", p95 "
+            << Table::num(to_millis(rt.quantile(0.95)), 0) << ", p99 "
+            << Table::num(to_millis(rt.quantile(0.99)), 0) << ", p99.9 "
+            << Table::num(to_millis(rt.quantile(0.999)), 0) << "\n"
             << "incidents: " << flight.incidents().size() << " ("
             << flight.pinned_events_total() << " spans pinned, "
             << flight.affected_requests_total() << " VLRT requests)\n";

@@ -1,7 +1,6 @@
 #include "common/histogram.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/check.h"
@@ -21,18 +20,6 @@ SimTime LatencyHistogram::bucket_upper(std::size_t index) {
   const std::int64_t base = (kSubBuckets + sub) << shift;
   const std::int64_t width = std::int64_t{1} << shift;
   return base + width - 1;
-}
-
-SimTime LatencyHistogram::bucket_mid(std::size_t index) {
-  if (index < static_cast<std::size_t>(kSubBuckets)) {
-    return static_cast<SimTime>(index);
-  }
-  const std::size_t rel = index - kSubBuckets;
-  const int decade = static_cast<int>(rel / kSubBuckets);
-  const std::int64_t sub = static_cast<std::int64_t>(rel % kSubBuckets);
-  const std::int64_t base = (kSubBuckets + sub) << decade;
-  const std::int64_t width = std::int64_t{1} << decade;
-  return base + width / 2;
 }
 
 SimTime LatencyHistogram::quantile(double q) const {
@@ -81,16 +68,6 @@ void LatencyHistogram::reset() {
   count_ = 0;
   min_ = max_ = 0;
   sum_ = 0.0;
-}
-
-double LatencyHistogram::fraction_above(SimTime threshold) const {
-  if (empty()) return 0.0;
-  // Count values in buckets entirely above the threshold, plus a
-  // conservative split of the straddling bucket.
-  std::int64_t above = 0;
-  const std::size_t tidx = bucket_index(threshold);
-  for (std::size_t i = tidx + 1; i < buckets_.size(); ++i) above += buckets_[i];
-  return static_cast<double>(above) / static_cast<double>(count_);
 }
 
 }  // namespace memca

@@ -2,8 +2,10 @@
 //
 // Log-bucketed (HDR-style) recorder: values are grouped into buckets whose
 // width grows geometrically, giving ~1% relative error across nine decades
-// while using a few KB. Used for per-tier and client response-time tails,
-// where the interesting statistics are p95/p98/p99-style quantiles.
+// while using a few KB. This is the simulator's one latency summary: per-tier
+// residence and client response-time tails, where the interesting statistics
+// are p95/p98/p99-style quantiles. Two histograms merge exactly by adding
+// buckets, so sweep cells combine into the distribution of the whole sweep.
 #pragma once
 
 #include <algorithm>
@@ -51,7 +53,7 @@ class LatencyHistogram {
   /// so `quantile(1.0) >= max recorded value` within bucket resolution.
   SimTime quantile(double q) const;
 
-  /// Arithmetic mean of recorded values (bucket-midpoint approximation).
+  /// Arithmetic mean of recorded values (exact: running sum / count).
   double mean() const;
   /// Largest recorded value (exact).
   SimTime max() const { return max_; }
@@ -62,9 +64,6 @@ class LatencyHistogram {
   void merge(const LatencyHistogram& other);
   /// Clears all recorded values.
   void reset();
-
-  /// Fraction of recorded values strictly greater than `threshold`.
-  double fraction_above(SimTime threshold) const;
 
  private:
   // Sub-buckets per power-of-two decade: 2^6 = 64 gives ~1.6% worst-case
@@ -95,7 +94,6 @@ class LatencyHistogram {
     return idx;
   }
   static SimTime bucket_upper(std::size_t index);
-  static SimTime bucket_mid(std::size_t index);
 
   std::vector<std::int64_t> buckets_;
   std::int64_t count_ = 0;

@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <cmath>
+#include <mutex>
 #include <vector>
 
 #include "common/check.h"
@@ -43,10 +44,33 @@ double Rng::normal(double mean, double stddev) {
   return std::normal_distribution<double>(mean, stddev)(engine_);
 }
 
+namespace {
+/// libstdc++'s binomial and Poisson distributions call lgamma() both while
+/// setting up their parameters and inside the draw, and lgamma() writes the
+/// process-global `signgam`, so two sweep workers drawing at once race on
+/// it. Each library draw (construction + sample) runs under this one lock;
+/// the stream is untouched, only serialized. An in-repo sampler (ROADMAP
+/// item 1, own the random streams) that never calls lgamma() retires it.
+std::mutex& lgamma_lock() {
+  static std::mutex lock;
+  return lock;
+}
+}  // namespace
+
 std::int64_t Rng::poisson(double mean) {
   MEMCA_CHECK_MSG(mean >= 0.0, "poisson mean must be non-negative");
   if (mean == 0.0) return 0;
+  const std::lock_guard<std::mutex> guard(lgamma_lock());
   return std::poisson_distribution<std::int64_t>(mean)(engine_);
+}
+
+std::int64_t Rng::binomial(std::int64_t n, double p) {
+  MEMCA_DCHECK(n >= 0);
+  MEMCA_DCHECK(p >= 0.0 && p <= 1.0);
+  if (n == 0 || p <= 0.0) return 0;
+  if (p >= 1.0) return n;
+  const std::lock_guard<std::mutex> guard(lgamma_lock());
+  return std::binomial_distribution<std::int64_t>(n, p)(engine_);
 }
 
 }  // namespace memca

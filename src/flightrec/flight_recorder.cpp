@@ -12,12 +12,6 @@ FlightRecorder::FlightRecorder(trace::TraceRecorder* ring, FlightRecorderConfig 
   MEMCA_CHECK_MSG(config_.resolution > 0, "tick resolution must be positive");
   MEMCA_CHECK_MSG(config_.depth >= 1 && config_.depth <= kTimelineMaxTiers,
                   "attribution depth must fit the timeline tier slots");
-  // Tier residence probes fire on every departure; the tail profile plus
-  // decimation keeps them inside the flight-recorder budget.
-  for (auto& sketch : tier_residence_) {
-    sketch = QuantileSketch(QuantileSketch::Profile::kTail, config_.residence_decimate_shift);
-  }
-  client_latency_ = QuantileSketch(QuantileSketch::Profile::kFull, config_.client_decimate_shift);
   // Reserve the pin budget up front: pinning on the hot completion path and
   // restoring a checkpoint must both be allocation-free.
   open_.pinned.reserve(config_.max_pinned_events);
@@ -25,21 +19,9 @@ FlightRecorder::FlightRecorder(trace::TraceRecorder* ring, FlightRecorderConfig 
   incidents_.reserve(config_.max_incidents);
 }
 
-QuantileSketch* FlightRecorder::tier_residence_sketch(std::size_t tier) {
-  MEMCA_CHECK(tier < kTimelineMaxTiers);
-  return &tier_residence_[tier];
-}
-
-const QuantileSketch& FlightRecorder::tier_residence(std::size_t tier) const {
-  MEMCA_CHECK(tier < kTimelineMaxTiers);
-  return tier_residence_[tier];
-}
-
 void FlightRecorder::on_completion(SimTime now, SimTime first_sent, std::int32_t user,
                                    SimTime rt, bool post_warmup) {
-  if (!post_warmup) return;
-  client_latency_.record(static_cast<double>(rt));
-  if (rt < config_.vlrt_threshold) return;
+  if (!post_warmup || rt < config_.vlrt_threshold) return;
   ++vlrt_in_window_;
   note_activity(IncidentTrigger::kVlrtCompletion, first_sent, now);
   ++open_.affected_requests;
@@ -243,8 +225,6 @@ void FlightRecorder::finalize() {
 
 void FlightRecorder::capture(Snapshot& out) const {
   out.pending_pins = pending_pins_;
-  out.client = client_latency_;
-  out.tiers = tier_residence_;
   timeline_.capture(out.timeline);
   out.incident_count = incidents_.size();
   out.incidents_dropped = incidents_dropped_;
@@ -259,8 +239,6 @@ void FlightRecorder::capture(Snapshot& out) const {
 }
 
 void FlightRecorder::restore(const Snapshot& snap) {
-  client_latency_ = snap.client;
-  tier_residence_ = snap.tiers;
   timeline_.restore(snap.timeline);
   // Closed incidents are append-only; rollback truncates the ones emitted
   // after the checkpoint. The open window copy-assigns into the capacity

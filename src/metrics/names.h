@@ -15,7 +15,8 @@ namespace memca::metrics::names {
 /// attempts sent (incl. retransmissions), completions, front-tier drops,
 /// retransmissions scheduled, requests abandoned after max_retries.
 inline constexpr std::string_view kRequestsTotal = "memca_requests_total";
-/// End-to-end client response time distribution (post-warmup), µs.
+/// End-to-end client response time distribution (post-warmup), µs. Set at
+/// finalize from ClosedLoopClients::response_times().
 inline constexpr std::string_view kClientResponseTimeUs = "memca_client_response_time_us";
 
 // -- queueing layer (per-tier counters + scraped series) -------------------
@@ -26,6 +27,9 @@ inline constexpr std::string_view kTierQueueLength = "memca_tier_queue_length";
 /// Labeled {tier=<name>}: worker utilization in [0, 1] over the last scrape
 /// window (busy-time integral differenced at scrape resolution).
 inline constexpr std::string_view kTierUtilization = "memca_tier_utilization";
+/// Labeled {tier=<name>}: residence time (enter → leave) of every departure,
+/// µs. Set at finalize from TierServer::residence_time().
+inline constexpr std::string_view kTierResidenceTimeUs = "memca_tier_residence_time_us";
 
 // -- OLTP lock table (registered when the bottleneck tier is OLTP) ---------
 /// Labeled {event=commits|aborts|lock_waits}: committed transactions,
@@ -52,22 +56,16 @@ inline constexpr std::string_view kAttackBurstsTotal = "memca_attack_bursts_tota
 inline constexpr std::string_view kAttackOnTimeUs = "memca_attack_on_time_us";
 
 // -- flight recorder (memca_flightrec, synced at finalize) -----------------
-/// Labeled {q=p50|p90|p95|p99|p999}: client latency quantile estimates from
-/// the streaming P² sketch, µs. The bounded-memory replacement for the full
-/// client-latency histogram the cohort rewrite will retire.
-inline constexpr std::string_view kClientLatencySketchUs = "memca_client_latency_sketch_us";
-/// Labeled {tier=<name>, q=...}: per-tier residence-time sketch quantiles, µs.
-inline constexpr std::string_view kTierResidenceSketchUs = "memca_tier_residence_sketch_us";
 /// Incidents the detector emitted (stored + overflowed past max_incidents).
 inline constexpr std::string_view kFlightrecIncidentsTotal = "memca_flightrec_incidents_total";
 /// Requests whose completion crossed the VLRT threshold inside incidents.
 inline constexpr std::string_view kFlightrecAffectedTotal = "memca_flightrec_affected_requests_total";
-/// Labeled {component=ring_bytes|ring_events|sketch_samples|pinned_events}:
-/// always-on observability self-profile — the volume the flight recorder
-/// processed this run. Multiply by the per-op costs in BENCH_PR8.json
-/// (BM_FlightRecorder / BM_QuantileSketch) for the overhead estimate; the
-/// values themselves are deterministic, so merged registry bytes stay a
-/// sweep-thread-invariance oracle.
+/// Labeled {component=ring_bytes|ring_events|pinned_events}: always-on
+/// observability self-profile — the volume the flight recorder processed
+/// this run. Multiply by the per-op costs in BENCH_PR8.json
+/// (BM_TraceRecorderRingRecord / BM_FlightRecorder) for the overhead
+/// estimate; the values themselves are deterministic, so merged registry
+/// bytes stay a sweep-thread-invariance oracle.
 inline constexpr std::string_view kEngineSelfprofile = "memca_engine_selfprofile";
 
 // -- engine self-profile (synced at finalize) ------------------------------

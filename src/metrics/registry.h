@@ -96,6 +96,12 @@ class HistogramHandle {
   void record(SimTime value) {
     if (hist_ != nullptr) hist_->record(value);
   }
+  /// Overwrites the distribution — for a histogram kept elsewhere and
+  /// synced in at end of run (client response times, tier residence
+  /// times). Assignment, like Counter::set_to, so syncing twice is harmless.
+  void set_to(const LatencyHistogram& hist) {
+    if (hist_ != nullptr) *hist_ = hist;
+  }
   bool attached() const { return hist_ != nullptr; }
 
  private:
@@ -203,7 +209,7 @@ class Registry {
   /// registration order, doubles rendered as raw IEEE-754 bit patterns so
   /// equal serializations imply bit-identical registries. This is the
   /// determinism oracle for parallel sweeps, not a human-facing export
-  /// (use the Prometheus/JSONL exporters for those).
+  /// (build_run_report + write_json/write_markdown is that).
   void serialize(std::ostream& out) const;
 
  private:

@@ -30,7 +30,6 @@
 #include "common/histogram.h"
 #include "common/inline_callback.h"
 #include "common/ring_queue.h"
-#include "flightrec/quantile_sketch.h"
 #include "metrics/registry.h"
 #include "queueing/request_pool.h"
 #include "queueing/workstation.h"
@@ -126,7 +125,9 @@ class TierServer {
   std::int64_t rejected() const { return rejected_; }
   std::int64_t completed() const { return completed_; }
 
-  /// Per-tier residence-time (enter→leave) distribution.
+  /// Per-tier residence-time (enter→leave) distribution, every departure —
+  /// the tier's one latency store (the testbed's finalize_metrics copies it
+  /// into the registry).
   const LatencyHistogram& residence_time() const { return residence_time_; }
 
   /// Busy-worker time integral (worker-microseconds), for CPU utilization
@@ -138,12 +139,6 @@ class TierServer {
 
   /// Attaches pre-resolved metric handles; a default TierMetrics detaches.
   void set_metrics(TierMetrics metrics) { metrics_ = metrics; }
-
-  /// Attaches a streaming residence-time sketch (flight recorder telemetry;
-  /// nullptr detaches, not owned). The sketch sees every departure — the
-  /// online, bounded-memory counterpart of residence_time(). Its state is
-  /// the owner's to checkpoint (the flight recorder snapshots it).
-  void set_residence_sketch(flightrec::QuantileSketch* sketch) { residence_sketch_ = sketch; }
 
  protected:
   // -- variant hooks --------------------------------------------------------
@@ -262,7 +257,6 @@ class TierServer {
   int resident_ = 0;
 
   TierMetrics metrics_;
-  flightrec::QuantileSketch* residence_sketch_ = nullptr;
 
   std::int64_t offered_ = 0;
   std::int64_t admitted_ = 0;

@@ -8,7 +8,6 @@
 
 #include "core/analytic_model.h"
 #include "flightrec/incident.h"
-#include "flightrec/quantile_sketch.h"
 #include "monitor/autoscaler.h"
 #include "monitor/detector.h"
 #include "testbed/rubbos_testbed.h"
@@ -65,8 +64,6 @@ struct AttackLabResult {
   std::vector<flightrec::Incident> incidents;
   /// Incidents past FlightRecorderConfig::max_incidents (counted, unstored).
   std::int64_t incidents_dropped = 0;
-  /// Streaming client-latency sketch (populated iff config.testbed.flightrec).
-  flightrec::QuantileSketch client_sketch;
   /// The cell's finalized metrics registry (populated iff
   /// config.testbed.metrics). Movable with the result, report-ready.
   std::unique_ptr<metrics::Registry> registry;

@@ -127,8 +127,7 @@ struct TestbedConfig {
   /// Transaction/lock-table profile, used only when bottleneck == kOltp.
   oltp::OltpConfig oltp;
   /// Always-on flight recorder (memca_flightrec): bounded span ring,
-  /// streaming latency sketches, high-resolution timeline and incident
-  /// detection. Off by default; cheap enough (< 5 % on the full testbed)
+  /// high-resolution timeline and incident detection. Off by default; cheap enough (< 5 % on the full testbed)
   /// to leave on in any production-style run.
   bool flightrec = false;
   /// Span-ring budget when the flight recorder is on and full tracing is
@@ -216,9 +215,11 @@ class RubbosTestbed {
   const metrics::Registry* registry() const { return registry_.get(); }
   /// Syncs end-of-run totals into the registry — engine self-profile
   /// (events executed, callback-pool occupancy, event-queue high-water,
-  /// sim clock), attack burst count and ON time when `attack` is given, and
-  /// warn/error log-line tallies. Call once after the run, before building
-  /// a run report or merging registries. No-op without metrics.
+  /// sim clock), attack burst count and ON time when `attack` is given,
+  /// warn/error log-line tallies, and the client response-time and per-tier
+  /// residence-time histograms. Every sync is an assignment, so a second
+  /// call is harmless. Call after the run, before building a run report or
+  /// merging registries. No-op without metrics.
   void finalize_metrics(const core::MemcaAttack* attack = nullptr);
   /// Hands the registry to the caller (e.g. a sweep-cell result that must
   /// outlive the testbed); later ticks skip the scrape. Null when metrics

@@ -286,11 +286,9 @@ SimTime ClosedLoopClients::record_completion(const queueing::Request& req) {
   const bool post_warmup = sim_.now() >= config_.stats_warmup;
   if (post_warmup) {
     response_times_.record(rt);
-    metrics_.response_time.record(rt);
     if (config_.record_response_series) {
       response_series_.append(sim_.now(), static_cast<double>(rt));
     }
-    recent_.record(sim_.now(), rt);
   }
   if (completion_observer_) {
     completion_observer_(CompletionEvent{sim_.now(), req.id, req.first_sent(), req.user,

@@ -65,7 +65,6 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/timeseries.h"
-#include "common/windowed_quantile.h"
 #include "metrics/registry.h"
 #include "sim/simulator.h"
 #include "trace/recorder.h"
@@ -84,7 +83,6 @@ struct ClientMetrics {
   metrics::Counter dropped;         ///< front-tier rejections observed
   metrics::Counter retransmitted;   ///< retries scheduled after a drop
   metrics::Counter failed;          ///< abandoned after max_retries
-  metrics::HistogramHandle response_time;  ///< post-warmup end-to-end RT, µs
 };
 
 /// How the population schedules itself; see the file comment.
@@ -113,19 +111,18 @@ struct ClientConfig {
   /// arrival instants are scattered over millisecond sub-slots within each
   /// tick, so the tick length does not bunch arrivals.
   SimTime cohort_tick = msec(50);
-  /// Keep the raw post-warmup (time, rt) sample series (Fig. 9d and the
-  /// defense ablation read it). Off by default: the series grows with every
-  /// completion — unbounded at population scale — and since PR 8 the
-  /// reporting path reads streaming sketches instead. The response-time
-  /// *histogram* stays always-on: its log-bucketed store is a few KB
-  /// regardless of population size.
+  /// Keep the raw post-warmup (time, rt) sample series (Fig. 9d, the
+  /// defense ablation and the controller ablation's windowed p95 read it).
+  /// Off by default: the series grows with every completion — unbounded at
+  /// population scale. The response-time *histogram* is always on and is
+  /// what every report reads: its log-bucketed store is a few KB regardless
+  /// of population size.
   bool record_response_series = false;
 };
 
 /// What a completion observer (see set_completion_observer) learns about
 /// each finished logical request — enough for an online tail watcher to
-/// feed latency sketches and detect VLRT completions without reaching into
-/// the request pool.
+/// detect VLRT completions without reaching into the request pool.
 struct CompletionEvent {
   SimTime now = 0;
   std::int64_t request = 0;
@@ -151,14 +148,13 @@ class ClosedLoopClients {
   void start();
 
   // -- statistics ----------------------------------------------------------
-  /// End-to-end (first send -> completion) response times, post-warmup.
+  /// End-to-end (first send -> completion) response times, post-warmup —
+  /// the population's one latency store (the testbed's finalize_metrics
+  /// copies it into the registry).
   const LatencyHistogram& response_times() const { return response_times_; }
   /// (completion time, response time µs) samples, post-warmup (Fig. 9d).
   /// Empty unless ClientConfig::record_response_series.
   const TimeSeries& response_series() const { return response_series_; }
-  /// Quantile of response times over roughly the last 30 seconds — the
-  /// live SLO-dashboard view of the client experience.
-  SimTime recent_quantile(double q) const { return recent_.quantile(sim_.now(), q); }
   std::int64_t completed() const { return completed_; }
   /// Front-tier drops observed (each triggers a retransmission).
   std::int64_t dropped_attempts() const { return dropped_attempts_; }
@@ -189,7 +185,7 @@ class ClosedLoopClients {
   /// Bytes of population-proportional storage currently held (user lanes,
   /// cohort counters, slot/RTO lanes, the optional response series) — the
   /// bytes/user figure BENCH_PR9.json reports. Excludes the fixed-size
-  /// histogram/windowed-quantile stores.
+  /// response-time histogram.
   std::size_t memory_bytes() const;
 
   /// Attaches a span-event recorder for the client lifecycle events
@@ -220,7 +216,7 @@ class ClosedLoopClients {
   /// Statistics per member, then the scheduling tail (cohort slot release +
   /// idle re-count, or exact think scheduling) folded into one pass.
   void on_complete_batch(queueing::Request* const* reqs, std::size_t n);
-  /// The statistics half of a completion (counters, trace mark, histograms,
+  /// The statistics half of a completion (counters, trace mark, histogram,
   /// observer) — everything except the mode-specific scheduling tail.
   /// Returns the client-observed response time.
   SimTime record_completion(const queueing::Request& req);
@@ -329,7 +325,6 @@ class ClosedLoopClients {
 
   LatencyHistogram response_times_;
   TimeSeries response_series_;
-  WindowedQuantile recent_{sec(std::int64_t{10}), 3};
   std::int64_t completed_ = 0;
   std::int64_t dropped_attempts_ = 0;
   std::int64_t failed_ = 0;
@@ -359,7 +354,6 @@ class ClosedLoopClients {
     SimTime start_time = 0;
     LatencyHistogram response_times;
     std::size_t response_series_size = 0;
-    WindowedQuantile recent{sec(std::int64_t{10}), 3};
     std::int64_t completed = 0;
     std::int64_t dropped_attempts = 0;
     std::int64_t failed = 0;
@@ -381,7 +375,6 @@ class ClosedLoopClients {
     out.start_time = start_time_;
     out.response_times = response_times_;
     out.response_series_size = response_series_.size();
-    out.recent = recent_;
     out.completed = completed_;
     out.dropped_attempts = dropped_attempts_;
     out.failed = failed_;
@@ -406,7 +399,6 @@ class ClosedLoopClients {
     start_time_ = snap.start_time;
     response_times_ = snap.response_times;
     response_series_.truncate(snap.response_series_size);
-    recent_ = snap.recent;
     completed_ = snap.completed;
     dropped_attempts_ = snap.dropped_attempts;
     failed_ = snap.failed;

@@ -140,15 +140,6 @@ TEST(LatencyHistogram, ResetClearsEverything) {
   EXPECT_EQ(h.quantile(0.99), 0);
 }
 
-TEST(LatencyHistogram, FractionAbove) {
-  LatencyHistogram h;
-  for (int i = 0; i < 90; ++i) h.record(msec(10));
-  for (int i = 0; i < 10; ++i) h.record(sec(std::int64_t{2}));
-  EXPECT_NEAR(h.fraction_above(sec(std::int64_t{1})), 0.10, 0.001);
-  EXPECT_NEAR(h.fraction_above(0), 1.0, 0.001);
-  EXPECT_DOUBLE_EQ(h.fraction_above(sec(std::int64_t{3})), 0.0);
-}
-
 TEST(LatencyHistogram, MaxQuantileNeverExceedsMax) {
   LatencyHistogram h;
   Rng rng(21);

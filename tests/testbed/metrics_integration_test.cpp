@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "metrics/names.h"
 #include "metrics/run_report.h"
@@ -110,6 +112,57 @@ TEST(MetricsIntegration, RunReportReflectsTheRun) {
   EXPECT_EQ(report.tiers[2].name, "mysql");
   // The attack saturates MySQL transiently: visible in the scraped series.
   EXPECT_GT(report.tiers[2].util_max_native, 0.95);
+}
+
+TEST(MetricsIntegration, MergedSweepReportKeepsExactTails) {
+  // Two flight-recorded cells that see different tails (attacked, then
+  // attack-free), merged the way a sweep report is built. Every latency
+  // figure of the merged report must be a quantile of the merged
+  // distribution — never a sum of per-cell quantiles.
+  std::vector<AttackLabConfig> grid(2);
+  for (AttackLabConfig& cell : grid) {
+    cell.duration = sec(std::int64_t{10});
+    cell.params.burst_length = msec(500);
+    cell.params.burst_interval = sec(std::int64_t{2});
+    cell.testbed.metrics = true;
+    cell.testbed.flightrec = true;
+  }
+  grid[1].attack_enabled = false;
+  std::vector<AttackLabResult> results = run_attack_lab_sweep(grid, 2);
+  ASSERT_EQ(results.size(), 2u);
+
+  const std::vector<std::string> tiers = {"apache", "tomcat", "mysql"};
+  LatencyHistogram client;
+  std::vector<LatencyHistogram> residence(tiers.size());
+  for (const AttackLabResult& r : results) {
+    ASSERT_NE(r.registry, nullptr);
+    // Each cell's registry holds exactly the clients' and tiers' own stores.
+    const LatencyHistogram* rt =
+        r.registry->find_histogram(metrics::names::kClientResponseTimeUs);
+    ASSERT_NE(rt, nullptr);
+    EXPECT_EQ(rt->quantile(0.99), r.client_p99);
+    client.merge(*rt);
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      const LatencyHistogram* tier = r.registry->find_histogram(
+          metrics::names::kTierResidenceTimeUs, {{"tier", tiers[i]}});
+      ASSERT_NE(tier, nullptr) << tiers[i];
+      EXPECT_EQ(tier->quantile(0.95), r.tier_p95[i]) << tiers[i];
+      residence[i].merge(*tier);
+    }
+  }
+
+  const std::unique_ptr<metrics::Registry> merged = merge_sweep_registries(results);
+  ASSERT_NE(merged, nullptr);
+  const metrics::RunReport report = metrics::build_run_report(*merged, {});
+  EXPECT_TRUE(report.flightrec);
+  EXPECT_EQ(report.latency_count, client.count());
+  EXPECT_EQ(report.latency_p99, client.quantile(0.99));
+  ASSERT_EQ(report.tiers.size(), tiers.size());
+  for (std::size_t i = 0; i < tiers.size(); ++i) {
+    EXPECT_EQ(report.tiers[i].name, tiers[i]);
+    EXPECT_GT(report.tiers[i].residence_p99_us, 0) << tiers[i];
+    EXPECT_EQ(report.tiers[i].residence_p99_us, residence[i].quantile(0.99)) << tiers[i];
+  }
 }
 
 TEST(MetricsIntegration, ReleasedRegistrySurvivesTheTestbed) {
